@@ -644,6 +644,15 @@ class CrackAccessPath : public ColumnAccessPath {
     return updatable_ == nullptr ? 1 : updatable_->num_pieces();
   }
 
+  std::optional<std::vector<size_t>> TakeSplits() override {
+    if (updatable_ == nullptr) return std::nullopt;
+    return updatable_->mutable_index()->TakeSplits();
+  }
+
+  Status Validate() const override {
+    return updatable_ == nullptr ? Status::OK() : updatable_->Validate();
+  }
+
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
     EnsureBuilt(stats);
     T pivot;
@@ -1908,6 +1917,13 @@ class DictStringAccessPath : public ColumnAccessPath {
   size_t NumPieces() const override {
     return inner_ == nullptr ? 1 : inner_->NumPieces();
   }
+  std::optional<std::vector<size_t>> TakeSplits() override {
+    if (inner_ == nullptr) return std::nullopt;
+    return inner_->TakeSplits();
+  }
+  Status Validate() const override {
+    return inner_ == nullptr ? Status::OK() : inner_->Validate();
+  }
 
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
     EnsureEncoded(stats);
@@ -2036,8 +2052,8 @@ class DictStringAccessPath : public ColumnAccessPath {
   /// from the wrapper's all-time deleted_ set, so the rebuilt path folds
   /// them through the ordinary Merge machinery on its next merge.
   void RemapCodes(const StringDictionary::RemapMap& remap, IoStats* stats) {
-    // +1 marks the accelerator hand-over (even when nothing was pending),
-    // so facade-level lineage re-roots the piece subtree.
+    // +1 counts the accelerator hand-over as a merge even when nothing was
+    // pending: the piece table starts over.
     merges_carry_ += inner_->merges_performed() + 1;
     int64_t* d = codes_->MutableTailData<int64_t>();
     for (size_t i = 0; i < codes_->size(); ++i) {

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -283,6 +284,20 @@ class ColumnAccessPath {
 
   /// Number of pieces (cheaper than Pieces().size()).
   virtual size_t NumPieces() const = 0;
+
+  /// Piece-table splits since the previous call (CrackerIndex::TakeSplits):
+  /// the positions of the new piece boundaries, or nullopt when they were
+  /// not recorded — first call, accelerator (re)built, pieces fused — and
+  /// the caller must resync from Pieces(). Paths without a piece table
+  /// always report nullopt. Serial mode only.
+  virtual std::optional<std::vector<size_t>> TakeSplits() {
+    return std::nullopt;
+  }
+
+  /// Structural self-check of the built accelerator (CrackerIndex::Validate
+  /// plus the delta bookkeeping); OK for paths without one. Test support,
+  /// O(accelerator size) — never on the query path.
+  virtual Status Validate() const { return Status::OK(); }
 
   /// Applies an explicit pivot: cracks the column at `choice` outside any
   /// query. Unimplemented for paths without a piece table (sort, scan).

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 
 #include "core/oid_set_ops.h"
 #include "core/task_pool.h"
@@ -128,8 +129,8 @@ std::vector<Oid> QueryResult::CollectOids() && {
 
 AdaptiveStore::AdaptiveStore(AdaptiveStoreOptions options)
     : options_(options) {
-  // Lineage bookkeeping diffs whole piece tables after every select, which
-  // cannot be kept consistent while neighbors crack pieces concurrently;
+  // Lineage folds each statement's piece splits into the DAG after it
+  // returns, which assumes no neighbor cracks the column meanwhile;
   // concurrent mode trades the DAG away (README "Concurrency model").
   if (options_.concurrent) options_.track_lineage = false;
   // Mirror into the unified config so Configure/db_options() agree with the
@@ -1081,7 +1082,6 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
   bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
   if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
     accel->root = lineage_.AddRoot(table + "." + column, bat->size());
-    accel->piece_nodes[{0, bat->size()}] = accel->root;
   }
 
   SnapshotView view = ViewForColumn(table, column, snap);
@@ -1106,23 +1106,7 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
     obs::RecordSpanAnswer(result.span_set.num_spans(), result.span_set.count());
   }
 
-  if (is_crack && options_.track_lineage) {
-    size_t merges_now = accel->path->merges_performed();
-    if (sel.bounds_dropped > 0 || merges_now != accel->merges_seen) {
-      // Fused pieces (or a delta merge's rebuilt cracker column) no longer
-      // tile the registered nodes; apply the inverse operation to the
-      // column's subtree (§3.2: "trimming the graph") and re-register the
-      // surviving partitioning from the root.
-      (void)lineage_.TrimDescendants(accel->root);
-      accel->piece_nodes.clear();
-      std::vector<PieceInfo> pieces = accel->path->Pieces();
-      size_t span_end =
-          pieces.empty() ? accel->path->size() : pieces.back().end;
-      accel->piece_nodes[{0, span_end}] = accel->root;
-      accel->merges_seen = merges_now;
-    }
-    UpdateLineage(table, column, accel);
-  }
+  if (is_crack && options_.track_lineage) UpdateLineage(table, column, accel);
 
   if (delivery == Delivery::kMaterialize) {
     obs::TraceSpan mat_span("materialize", &result.io);
@@ -1170,15 +1154,8 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
 
   CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
   bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
-  if (is_crack && options_.track_lineage && !options_.merge_budget.unlimited()) {
-    // A budgeted merge inside the aggregate can fuse pieces without
-    // reporting bounds_dropped here, leaving the lineage DAG stale; let the
-    // caller fall back to the select-based loop, which reports it.
-    return Status::Unimplemented("aggregate pushdown: budgeted merge lineage");
-  }
   if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
     accel->root = lineage_.AddRoot(table + "." + column, bat->size());
-    accel->piece_nodes[{0, bat->size()}] = accel->root;
   }
 
   IoStats io;
@@ -1189,21 +1166,8 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
       accel->path->AggregateRange(bounds, &io,
                                   view.active() ? &view : nullptr));
 
-  if (is_crack && options_.track_lineage) {
-    // The aggregate's cuts crack the column exactly like a select's; the
-    // same piece-diff keeps the Ξ DAG current.
-    size_t merges_now = accel->path->merges_performed();
-    if (merges_now != accel->merges_seen) {
-      (void)lineage_.TrimDescendants(accel->root);
-      accel->piece_nodes.clear();
-      std::vector<PieceInfo> pieces = accel->path->Pieces();
-      size_t span_end =
-          pieces.empty() ? accel->path->size() : pieces.back().end;
-      accel->piece_nodes[{0, span_end}] = accel->root;
-      accel->merges_seen = merges_now;
-    }
-    UpdateLineage(table, column, accel);
-  }
+  // The aggregate's cuts crack the column exactly like a select's.
+  if (is_crack && options_.track_lineage) UpdateLineage(table, column, accel);
 
   out.io = io;
   obs::RecordAggPushdown(out.pushdown_rows);
@@ -1659,6 +1623,26 @@ Result<std::vector<Oid>> AdaptiveStore::DeletedOids(
                            rel->num_rows());
 }
 
+Status AdaptiveStore::Verify() const {
+  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
+  if (options_.concurrent) {
+    g.lock();
+    rl.lock();
+  }
+  for (const auto& [key, accel] : accels_) {
+    const bool has = options_.concurrent
+                         ? accel.has_path.load(std::memory_order_acquire)
+                         : accel.path != nullptr;
+    if (has) CRACK_RETURN_NOT_OK(accel.path->Validate().WithContext(key));
+    if (accel.root != kInvalidPieceId) {
+      CRACK_RETURN_NOT_OK(
+          lineage_.CheckLossless(accel.root).WithContext(key));
+    }
+  }
+  return Status::OK();
+}
+
 Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
   // Quiesce the store: the physical purge calls into access paths and
   // flushes deltas outside the per-statement latch discipline.
@@ -1928,6 +1912,103 @@ Result<std::shared_ptr<Relation>> AdaptiveStore::MaterializeSelection(
   return out;
 }
 
+Result<std::shared_ptr<Relation>> AdaptiveStore::MaterializeRows(
+    const std::string& table, const std::vector<Oid>& oids,
+    const std::vector<std::string>& columns, TxnId txn, IoStats* stats) {
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> base_lock;
+  if (options_.concurrent) {
+    g.lock();
+    base_lock = std::shared_lock<std::shared_mutex>(
+        TableStateFor(table)->base_latch);
+  }
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
+  std::vector<ColumnDef> defs;
+  std::vector<size_t> sources;
+  if (columns.empty()) {
+    defs = rel->schema().columns();
+    for (size_t i = 0; i < defs.size(); ++i) sources.push_back(i);
+  } else {
+    for (const std::string& name : columns) {
+      int idx = rel->schema().FieldIndex(name);
+      if (idx < 0) {
+        return Status::NotFound("no column '" + name + "' in " + table);
+      }
+      defs.push_back(rel->schema().column(static_cast<size_t>(idx)));
+      sources.push_back(static_cast<size_t>(idx));
+    }
+  }
+  CRACK_ASSIGN_OR_RETURN(
+      std::shared_ptr<Relation> out,
+      Relation::Create(table + "_result", Schema(std::move(defs))));
+  for (size_t c = 0; c < sources.size(); ++c) {
+    const std::shared_ptr<Bat>& src = rel->column(sources[c]);
+    const std::shared_ptr<Bat>& dst = out->column(c);
+    SnapshotView view = ViewForColumn(
+        table, rel->schema().column(sources[c]).name, snap);
+    std::unordered_map<Oid, const Value*> overridden;
+    for (const auto& [oid, value] : view.overrides()) {
+      overridden.emplace(oid, &value);
+    }
+    Oid base = src->head_base();
+    for (Oid oid : oids) {
+      auto ov = overridden.find(oid);
+      Status st =
+          ov != overridden.end()
+              ? dst->AppendValue(*ov->second)
+              : dst->AppendValue(src->GetValue(static_cast<size_t>(
+                    oid - base)));
+      if (!st.ok()) return st;
+    }
+  }
+  if (stats != nullptr) {
+    stats->tuples_read += oids.size() * sources.size();
+    stats->tuples_written += oids.size() * sources.size();
+  }
+  return out;
+}
+
+Result<ColumnAggregates> AdaptiveStore::AggregateOids(
+    const std::string& table, const std::string& column,
+    const std::vector<Oid>& oids, TxnId txn) {
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> base_lock;
+  if (options_.concurrent) {
+    g.lock();
+    base_lock = std::shared_lock<std::shared_mutex>(
+        TableStateFor(table)->base_latch);
+  }
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> col,
+                         ResolveColumn(table, column));
+  const bool is32 = col->tail_type() == ValueType::kInt32;
+  if (!is32 && col->tail_type() != ValueType::kInt64) {
+    return Status::Unimplemented("aggregates need integer columns");
+  }
+  SnapshotView view = ViewForColumn(table, column, snap);
+  std::unordered_map<Oid, int64_t> overrides;
+  for (const auto& [oid, value] : view.overrides()) {
+    overrides.emplace(oid, value.ToInt64());
+  }
+  ColumnAggregates out;
+  const Oid base = col->head_base();
+  for (Oid oid : oids) {
+    const size_t row = static_cast<size_t>(oid - base);
+    int64_t v = is32 ? col->Get<int32_t>(row) : col->Get<int64_t>(row);
+    auto ov = overrides.find(oid);
+    if (ov != overrides.end()) v = ov->second;
+    out.sum = static_cast<int64_t>(static_cast<uint64_t>(out.sum) +
+                                   static_cast<uint64_t>(v));
+    out.min = out.has_minmax ? std::min(out.min, v) : v;
+    out.max = out.has_minmax ? std::max(out.max, v) : v;
+    out.has_minmax = true;
+  }
+  out.rows = oids.size();
+  out.io.tuples_read = oids.size();
+  return out;
+}
+
 Result<ColumnAccessPath*> AdaptiveStore::AccessPathFor(
     const std::string& table, const std::string& column) const {
   // Concurrent mode: the borrowed pointer is safe to hand out (paths are
@@ -2065,37 +2146,58 @@ std::vector<AdaptiveStore::ColumnPolicy> AdaptiveStore::PolicyReport() const {
 void AdaptiveStore::UpdateLineage(const std::string& table,
                                   const std::string& column,
                                   ColumnAccel* accel) {
-  std::vector<PieceInfo> pieces = accel->path->Pieces();
-  std::string prefix = table + "." + column;
-  // Every current piece lies inside exactly one registered node (cuts only
-  // ever subdivide). Group new pieces by enclosing registered range and log
-  // one Ξ application per split node.
-  std::map<std::pair<size_t, size_t>, std::vector<PieceInfo>> by_parent;
-  for (const PieceInfo& p : pieces) {
-    std::pair<size_t, size_t> self{p.begin, p.end};
-    if (accel->piece_nodes.count(self) > 0) continue;  // unchanged piece
-    // Find the enclosing registered node.
-    for (const auto& [range, node] : accel->piece_nodes) {
-      if (range.first <= p.begin && p.end <= range.second) {
-        by_parent[range].push_back(p);
-        break;
-      }
+  std::optional<std::vector<size_t>> splits = accel->path->TakeSplits();
+  if (!splits.has_value()) {
+    // The splits since the last fold were not recorded: this is the first
+    // fold, or pieces fused, or a delta merge rebuilt the cracker column.
+    // Apply the inverse operation to the column's subtree (§3.2: "trimming
+    // the graph"), size the root to the column it now partitions, and
+    // re-register the surviving partitioning as one split of the root.
+    std::vector<PieceInfo> pieces = accel->path->Pieces();
+    const size_t span_end = pieces.back().end;
+    (void)lineage_.TrimDescendants(accel->root);
+    (void)lineage_.Resize(accel->root, span_end);
+    accel->piece_nodes.clear();
+    accel->piece_nodes[{0, span_end}] = accel->root;
+    splits.emplace();
+    for (size_t i = 1; i < pieces.size(); ++i) {
+      splits->push_back(pieces[i].begin);
     }
   }
-  for (const auto& [range, children] : by_parent) {
-    PieceId parent = accel->piece_nodes[range];
+  if (splits->empty()) return;
+  // Cuts only ever subdivide, so every split lies strictly inside exactly
+  // one registered leaf: the last one starting before it. Log one Ξ
+  // application per split leaf, in slot order.
+  std::map<std::pair<size_t, size_t>, std::vector<size_t>> by_parent;
+  for (size_t pos : *splits) {
+    // A leaf starts at slot 0 and pos > 0, so the predecessor exists.
+    auto it = std::prev(accel->piece_nodes.lower_bound({pos, 0}));
+    CRACK_DCHECK(it->first.first < pos && pos < it->first.second);
+    by_parent[it->first].push_back(pos);
+  }
+  const std::string prefix = table + "." + column;
+  for (auto& [range, cuts] : by_parent) {
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<std::pair<size_t, size_t>> children;
+    children.reserve(cuts.size() + 1);
+    size_t begin = range.first;
+    for (size_t cut : cuts) {
+      children.emplace_back(begin, cut);
+      begin = cut;
+    }
+    children.emplace_back(begin, range.second);
     std::vector<std::pair<std::string, uint64_t>> outputs;
     outputs.reserve(children.size());
-    for (const PieceInfo& p : children) {
-      outputs.emplace_back(
-          StrFormat("%s[%zu,%zu)", prefix.c_str(), p.begin, p.end),
-          p.size());
+    for (const auto& [b, e] : children) {
+      outputs.emplace_back(StrFormat("%s[%zu,%zu)", prefix.c_str(), b, e),
+                           e - b);
     }
-    auto ids = lineage_.AddCrack(CrackOp::kXi, {parent}, outputs);
+    auto node = accel->piece_nodes.find(range);
+    auto ids = lineage_.AddCrack(CrackOp::kXi, {node->second}, outputs);
     CRACK_DCHECK(ids.ok());
-    accel->piece_nodes.erase(range);
+    accel->piece_nodes.erase(node);
     for (size_t i = 0; i < children.size(); ++i) {
-      accel->piece_nodes[{children[i].begin, children[i].end}] = (*ids)[i];
+      accel->piece_nodes[children[i]] = (*ids)[i];
     }
   }
 }

@@ -273,6 +273,12 @@ class AdaptiveStore {
   /// quiesces the store for the pass.
   Result<VacuumStats> Vacuum();
 
+  /// Structural self-check: Validate() on every built accelerator and
+  /// CheckLossless on every column's lineage root. O(state) — test support,
+  /// never on the query path. Concurrent mode: quiesces the store for the
+  /// pass.
+  Status Verify() const;
+
   /// Version-log sizes of `table` (tests / shell introspection).
   Result<VersionedTable::Counts> VersionCountsFor(
       const std::string& table) const;
@@ -432,6 +438,26 @@ class AdaptiveStore {
       const std::string& table, const CrackSelection& selection,
       const std::string& result_name, IoStats* stats = nullptr);
 
+  /// Copies the rows `oids` of `table` into a fresh Relation, keeping only
+  /// `columns` (empty = all, in schema order), with the values `txn`'s
+  /// snapshot reads: a cell whose physical value postdates the snapshot
+  /// takes the version log's override. Concurrent mode: the base columns
+  /// are read under the table's base latch, so an append (which may
+  /// reallocate a column) or an in-place update cannot race the gather.
+  Result<std::shared_ptr<Relation>> MaterializeRows(
+      const std::string& table, const std::vector<Oid>& oids,
+      const std::vector<std::string>& columns, TxnId txn = kNoTxn,
+      IoStats* stats = nullptr);
+
+  /// COUNT/SUM/MIN/MAX of the integer `column` over the rows `oids`, with
+  /// the values `txn`'s snapshot reads (see MaterializeRows; same latching)
+  /// — the aggregate over a WHERE the pushdown cannot answer, such as a
+  /// predicate on another column.
+  Result<ColumnAggregates> AggregateOids(const std::string& table,
+                                         const std::string& column,
+                                         const std::vector<Oid>& oids,
+                                         TxnId txn = kNoTxn);
+
   /// The access path currently accelerating (table, column), or NotFound
   /// when the column was never queried. Borrowed pointer, owned by the
   /// store.
@@ -484,11 +510,9 @@ class AdaptiveStore {
     /// The per-column reader/writer latch (concurrent mode only).
     mutable std::shared_mutex latch;
     PieceId root = kInvalidPieceId;
-    /// Lineage piece nodes keyed by their [begin, end) slot range.
+    /// Lineage leaf nodes keyed by their [begin, end) slot range; they tile
+    /// the piece table as of the last UpdateLineage.
     std::map<std::pair<size_t, size_t>, PieceId> piece_nodes;
-    /// Delta merges folded when the lineage was last synced; a change means
-    /// the accelerator was rebuilt and the piece subtree must re-root.
-    size_t merges_seen = 0;
   };
 
   /// Per-table concurrency state (concurrent mode only).
@@ -544,8 +568,9 @@ class AdaptiveStore {
                              const std::string& column,
                              const std::shared_ptr<Bat>& bat);
 
-  /// Records Ξ piece splits into the lineage after a crack (diffs the piece
-  /// table against the registered nodes).
+  /// Folds the path's piece splits since the previous call into the Ξ
+  /// lineage: O(new pieces · log pieces), or a re-root from Pieces() when
+  /// the splits were not recorded (see ColumnAccessPath::TakeSplits).
   void UpdateLineage(const std::string& table, const std::string& column,
                      ColumnAccel* accel);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "obs/instruments.h"
 #include "util/string_util.h"
@@ -94,7 +95,9 @@ void CrackerIndex<T>::CrackRegionFor(T v, bool want_incl, size_t* begin,
 }
 
 template <typename T>
-void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos) {
+void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos,
+                                  size_t begin, size_t end) {
+  NoteSplit(pos, begin, end);
   Bound& b = bounds_[v];
   if (b.created == 0) b.created = clock_;
   if (want_incl) {
@@ -141,18 +144,20 @@ size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
                          : CrackInTwoLt(data() + begin, oid_data() + begin,
                                         end - begin, v);
   pos = begin + split.split;
+  const bool interior = pos > begin && pos < end;
   if (stats != nullptr) {
     stats->tuples_read += end - begin;
     stats->tuples_written += split.writes;
     ++stats->cracks;
     ++stats->pieces_touched;
     stats->kernel_writes += split.writes;
+    if (interior) ++stats->pieces_created;
   }
-  obs::RecordCrack(end - begin, split.writes,
-                   (pos > begin && pos < end) ? 1 : 0, /*pieces_touched=*/1);
+  obs::RecordCrack(end - begin, split.writes, interior ? 1 : 0,
+                   /*pieces_touched=*/1);
   if (pos > begin) obs::RecordPieceSize(pos - begin);
   if (end > pos) obs::RecordPieceSize(end - pos);
-  RegisterCut(v, want_incl, pos);
+  RegisterCut(v, want_incl, pos, begin, end);
   return pos;
 }
 
@@ -229,10 +234,8 @@ size_t CrackerIndex<T>::CutConcurrent(T v, bool want_incl, IoStats* stats) {
       ++stats->cracks;
       ++stats->pieces_touched;
       stats->kernel_writes += split.writes;
-      // A strictly-interior split is a brand-new cut position (registered
-      // cuts bound the crack region, so its interior held none): exactly
-      // one new piece. Edge splits create nothing, matching the serial
-      // path's num_pieces() diff accounting.
+      // A strictly-interior split is a brand-new cut position: exactly one
+      // new piece (see NoteSplit). Edge splits create nothing.
       if (pos > begin && pos < end) ++stats->pieces_created;
     }
     obs::RecordCrack(end - begin, split.writes,
@@ -241,7 +244,7 @@ size_t CrackerIndex<T>::CutConcurrent(T v, bool want_incl, IoStats* stats) {
     if (end > pos) obs::RecordPieceSize(end - pos);
     {
       std::lock_guard<std::mutex> lk(map_mu_);
-      RegisterCut(v, want_incl, pos);
+      RegisterCut(v, want_incl, pos, begin, end);
     }
     return pos;
   }
@@ -324,7 +327,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
         obs::RecordProgressiveDeferred(out.deferred);
         return out;
       }
-      RegisterCut(job.pivot, job.want_incl, job.lo);
+      RegisterCut(job.pivot, job.want_incl, job.lo, job.begin, job.end);
       progressive_.erase(it);
       continue;
     }
@@ -345,7 +348,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
     if (job_done) {
       const size_t cut = job.lo;
       progressive_.erase(it);
-      RegisterCut(v, want_incl, cut);
+      RegisterCut(v, want_incl, cut, begin, end);
       out.lo = out.hi = cut;
       out.exact = true;
       return out;
@@ -426,7 +429,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressiveConcurrent(T v, bool want_incl,
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       if (job_done) {
-        RegisterCut(job.pivot, job.want_incl, job.lo);
+        RegisterCut(job.pivot, job.want_incl, job.lo, job.begin, job.end);
         progressive_.erase(begin);
         if (ours) {
           out.lo = out.hi = job.lo;
@@ -476,8 +479,6 @@ size_t CrackerIndex<T>::progressive_pending() const {
 template <typename T>
 CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
                                        IoStats* stats) {
-  size_t pieces_before = num_pieces();
-
   // Degenerate/inverted ranges answer empty without cracking.
   if (lo > hi || (lo == hi && !(lo_incl && hi_incl))) {
     return CrackSelection{BatView(values_, 0, 0), BatView(oids_, 0, 0)};
@@ -499,23 +500,21 @@ CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
                                      end - begin, lo, lo_incl, hi, hi_incl);
     cut_lo = begin + split.first;
     cut_hi = begin + split.second;
+    uint64_t created = NoteSplit(cut_lo, begin, end) ? 1 : 0;
+    if (cut_hi != cut_lo && NoteSplit(cut_hi, begin, end)) ++created;
     if (stats != nullptr) {
       stats->tuples_read += end - begin;
       stats->tuples_written += split.writes;
       ++stats->cracks;
       ++stats->pieces_touched;
       stats->kernel_writes += split.writes;
+      stats->pieces_created += created;
     }
-    {
-      uint64_t created = 0;
-      if (cut_lo > begin && cut_lo < end) ++created;
-      if (cut_hi != cut_lo && cut_hi > begin && cut_hi < end) ++created;
-      obs::RecordCrack(end - begin, split.writes, created,
-                       /*pieces_touched=*/1);
-      if (cut_lo > begin) obs::RecordPieceSize(cut_lo - begin);
-      if (cut_hi > cut_lo) obs::RecordPieceSize(cut_hi - cut_lo);
-      if (end > cut_hi) obs::RecordPieceSize(end - cut_hi);
-    }
+    obs::RecordCrack(end - begin, split.writes, created,
+                     /*pieces_touched=*/1);
+    if (cut_lo > begin) obs::RecordPieceSize(cut_lo - begin);
+    if (cut_hi > cut_lo) obs::RecordPieceSize(cut_hi - cut_lo);
+    if (end > cut_hi) obs::RecordPieceSize(end - cut_hi);
     uint64_t created_clock = clock_;
     if (lo == hi) {
       // Point query: both cuts decorate the same boundary value.
@@ -554,11 +553,6 @@ CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
     cut_hi = Cut(hi, /*want_incl=*/hi_incl, stats);
   }
 
-  if (stats != nullptr) {
-    size_t pieces_after = num_pieces();
-    stats->pieces_created += pieces_after - pieces_before;
-  }
-
   if (cut_hi < cut_lo) cut_hi = cut_lo;  // empty result
   return CrackSelection{BatView(values_, cut_lo, cut_hi - cut_lo),
                         BatView(oids_, cut_lo, cut_hi - cut_lo)};
@@ -567,18 +561,14 @@ CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
 template <typename T>
 CrackSelection CrackerIndex<T>::SelectLessThan(T v, bool inclusive,
                                                IoStats* stats) {
-  size_t pieces_before = num_pieces();
   size_t cut = Cut(v, /*want_incl=*/inclusive, stats);
-  if (stats != nullptr) stats->pieces_created += num_pieces() - pieces_before;
   return CrackSelection{BatView(values_, 0, cut), BatView(oids_, 0, cut)};
 }
 
 template <typename T>
 CrackSelection CrackerIndex<T>::SelectGreaterThan(T v, bool inclusive,
                                                   IoStats* stats) {
-  size_t pieces_before = num_pieces();
   size_t cut = Cut(v, /*want_incl=*/!inclusive, stats);
-  if (stats != nullptr) stats->pieces_created += num_pieces() - pieces_before;
   return CrackSelection{BatView(values_, cut, n_ - cut),
                         BatView(oids_, cut, n_ - cut)};
 }
@@ -618,12 +608,7 @@ CrackSelection CrackerIndex<T>::SelectAll() const {
 template <typename T>
 size_t CrackerIndex<T>::num_pieces() const {
   std::lock_guard<std::mutex> lk(map_mu_);
-  std::set<size_t> cuts;
-  for (const auto& [value, b] : bounds_) {
-    if (b.has_excl && b.pos_excl > 0 && b.pos_excl < n_) cuts.insert(b.pos_excl);
-    if (b.has_incl && b.pos_incl > 0 && b.pos_incl < n_) cuts.insert(b.pos_incl);
-  }
-  return cuts.size() + 1;
+  return pieces_;
 }
 
 template <typename T>
@@ -676,6 +661,18 @@ std::vector<CrackPiece<T>> CrackerIndex<T>::Pieces() const {
 }
 
 template <typename T>
+std::optional<std::vector<size_t>> CrackerIndex<T>::TakeSplits() {
+  if (!log_splits_) {
+    log_splits_ = true;
+    splits_.clear();
+    return std::nullopt;
+  }
+  std::vector<size_t> out;
+  out.swap(splits_);
+  return out;
+}
+
+template <typename T>
 std::vector<CrackBound<T>> CrackerIndex<T>::Bounds() const {
   std::lock_guard<std::mutex> lk(map_mu_);
   std::vector<CrackBound<T>> out;
@@ -703,49 +700,60 @@ Status CrackerIndex<T>::RemoveBound(T value) {
   bounds_.erase(it);
   // Fusing pieces invalidates the piece geometry every carried frontier
   // was keyed against; drop them all (their partial partitions stay
-  // harmless — a redo merely re-shuffles).
+  // harmless — a redo merely re-shuffles). The same goes for logged split
+  // positions, so the split log disarms and its reader resyncs.
   progressive_.clear();
+  std::set<size_t> cuts;  // the distinct positions strictly inside (0, n)
+  for (const auto& [v, b] : bounds_) {
+    if (b.has_excl && b.pos_excl > 0 && b.pos_excl < n_) {
+      cuts.insert(b.pos_excl);
+    }
+    if (b.has_incl && b.pos_incl > 0 && b.pos_incl < n_) {
+      cuts.insert(b.pos_incl);
+    }
+  }
+  pieces_ = cuts.size() + 1;
+  log_splits_ = false;
+  splits_.clear();
   return Status::OK();
 }
 
 template <typename T>
 Status CrackerIndex<T>::Validate() const {
-  const T* d = data();
+  // Positions must be non-decreasing in (value, exclusive-before-inclusive)
+  // order. Given that, a tuple inside its piece's tightest bounds satisfies
+  // every looser boundary too, so one pass over the pieces checks them all.
+  size_t last = 0;
   for (const auto& [value, b] : bounds_) {
-    if (b.has_excl) {
-      for (size_t i = 0; i < b.pos_excl; ++i) {
-        if (!(d[i] < value)) {
-          return Status::Internal(StrFormat(
-              "excl bound violated at index %zu (pos_excl=%zu)", i,
-              b.pos_excl));
-        }
+    for (int incl = 0; incl < 2; ++incl) {
+      if (!(incl ? b.has_incl : b.has_excl)) continue;
+      const size_t pos = incl ? b.pos_incl : b.pos_excl;
+      if (pos < last || pos > n_) {
+        return Status::Internal(StrFormat(
+            "%s bound position %zu out of order (previous %zu, n=%zu)",
+            incl ? "incl" : "excl", pos, last, n_));
       }
-      for (size_t i = b.pos_excl; i < n_; ++i) {
-        if (d[i] < value) {
-          return Status::Internal(StrFormat(
-              "excl bound violated at index %zu (pos_excl=%zu)", i,
-              b.pos_excl));
-        }
-      }
+      last = pos;
     }
-    if (b.has_incl) {
-      for (size_t i = 0; i < b.pos_incl; ++i) {
-        if (d[i] > value) {
-          return Status::Internal(StrFormat(
-              "incl bound violated at index %zu (pos_incl=%zu)", i,
-              b.pos_incl));
-        }
+  }
+  const std::vector<CrackPiece<T>> pieces = Pieces();
+  if (pieces.size() != num_pieces()) {
+    return Status::Internal(StrFormat("piece count %zu drifted from %zu",
+                                      num_pieces(), pieces.size()));
+  }
+  const T* d = data();
+  for (const CrackPiece<T>& p : pieces) {
+    for (size_t i = p.begin; i < p.end; ++i) {
+      const T v = d[i];
+      const bool lo_ok =
+          !p.has_lo || (p.lo_strict ? v > p.lo : !(v < p.lo));
+      const bool hi_ok =
+          !p.has_hi || (p.hi_strict ? v < p.hi : !(v > p.hi));
+      if (!lo_ok || !hi_ok) {
+        return Status::Internal(StrFormat(
+            "tuple at index %zu violates the bounds of piece [%zu, %zu)", i,
+            p.begin, p.end));
       }
-      for (size_t i = b.pos_incl; i < n_; ++i) {
-        if (!(d[i] > value)) {
-          return Status::Internal(StrFormat(
-              "incl bound violated at index %zu (pos_incl=%zu)", i,
-              b.pos_incl));
-        }
-      }
-    }
-    if (b.has_excl && b.has_incl && b.pos_excl > b.pos_incl) {
-      return Status::Internal("pos_excl > pos_incl");
     }
   }
   return Status::OK();

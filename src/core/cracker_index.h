@@ -22,7 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -235,6 +235,7 @@ class CrackerIndex {
   size_t size() const { return n_; }
 
   /// Number of pieces currently delimited (distinct cut positions + 1).
+  /// O(1): maintained as cuts split pieces.
   size_t num_pieces() const;
 
   /// Number of registered boundary values.
@@ -242,6 +243,16 @@ class CrackerIndex {
 
   /// Piece table in physical order, with value-bound decoration.
   std::vector<CrackPiece<T>> Pieces() const;
+
+  /// The cut positions that split a piece since the previous call, in
+  /// registration order — each one a brand-new piece boundary. Lets a
+  /// caller mirror the piece table incrementally (the facade's Ξ lineage)
+  /// in O(new pieces) instead of re-deriving Pieces(). The log is armed by
+  /// the first call, which returns nullopt: splits made before it were not
+  /// recorded, so the caller must resync from Pieces(). RemoveBound disarms
+  /// it again (fused pieces invalidate the positions it holds). Serial
+  /// contract; concurrent callers never arm it.
+  std::optional<std::vector<size_t>> TakeSplits();
 
   /// Boundary table in value order.
   std::vector<CrackBound<T>> Bounds() const;
@@ -258,8 +269,10 @@ class CrackerIndex {
   /// values()->Get<T>(i).
   const std::shared_ptr<Bat>& oids() const { return oids_; }
 
-  /// Exhaustively re-checks every boundary's semantics against the data
-  /// (O(bounds * n); test support).
+  /// Re-checks every boundary's semantics against the data: positions are
+  /// monotone in value order and every tuple lies within its piece's
+  /// tightest value bounds, which implies every looser boundary too.
+  /// O(n + bounds); test support, never on the query path.
   Status Validate() const;
 
  private:
@@ -294,9 +307,22 @@ class CrackerIndex {
   /// valid when the cut is not yet registered.
   void CrackRegionFor(T v, bool want_incl, size_t* begin, size_t* end) const;
 
-  /// Records the cut position `pos` for `v`/`want_incl` and touches the
-  /// boundary's usage clock.
-  void RegisterCut(T v, bool want_incl, size_t pos);
+  /// Records the cut position `pos` for `v`/`want_incl`, made by cracking
+  /// the piece [begin, end), and touches the boundary's usage clock (see
+  /// NoteSplit for the piece accounting).
+  void RegisterCut(T v, bool want_incl, size_t pos, size_t begin,
+                   size_t end);
+
+  /// Accounts a cut at `pos` made by cracking the piece [begin, end): a
+  /// strictly interior position is a brand-new boundary (registered cuts
+  /// bound every crack region, so its interior held none) and splits the
+  /// piece in two. Returns whether it did.
+  bool NoteSplit(size_t pos, size_t begin, size_t end) {
+    if (pos <= begin || pos >= end) return false;
+    ++pieces_;
+    if (log_splits_) splits_.push_back(pos);
+    return true;
+  }
 
   /// FindCut that refreshes the usage clock on a hit (CutConcurrent's
   /// fast path; callers hold map_mu_).
@@ -341,10 +367,15 @@ class CrackerIndex {
   Oid* raw_oids_ = nullptr;
   size_t n_ = 0;
   uint64_t clock_ = 1;
+  size_t pieces_ = 1;  ///< num_pieces(), maintained by NoteSplit
+  /// TakeSplits() state: whether splits are being logged, and the log.
+  bool log_splits_ = false;
+  std::vector<size_t> splits_;
   CrackerIndexOptions options_;
-  /// Guards bounds_/clock_ among CutConcurrent callers (and makes the const
-  /// piece/bound snapshots safe against in-flight concurrent cuts). The
-  /// serial primitives bypass it; see the concurrency contract above.
+  /// Guards bounds_/clock_/pieces_ among CutConcurrent callers (and makes
+  /// the const piece/bound snapshots safe against in-flight concurrent
+  /// cuts). The serial primitives bypass it; see the concurrency contract
+  /// above.
   mutable std::mutex map_mu_;
   RangeLockTable range_locks_;  ///< piece-granular data locks
 };

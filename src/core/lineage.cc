@@ -102,6 +102,12 @@ Status LineageGraph::TrimDescendants(PieceId id) {
   return Status::OK();
 }
 
+Status LineageGraph::Resize(PieceId id, uint64_t size) {
+  if (id >= pieces_.size()) return Status::NotFound("unknown piece");
+  pieces_[id].size = size;
+  return Status::OK();
+}
+
 Status LineageGraph::CheckLossless(PieceId root) const {
   if (root >= pieces_.size()) return Status::NotFound("unknown root");
   // Walk down; every horizontally cracked piece must have children sizes

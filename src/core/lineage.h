@@ -72,6 +72,11 @@ class LineageGraph {
   /// Models piece fusion — the data of the descendants has been reabsorbed.
   Status TrimDescendants(PieceId id);
 
+  /// Sets the tuple count of piece `id`: a fused piece that reabsorbed a
+  /// delta merge (inserts folded in, purged rows dropped) no longer holds
+  /// what it held when it was registered.
+  Status Resize(PieceId id, uint64_t size);
+
   /// Graphviz rendering of the DAG (Figs. 5-6 style).
   std::string ToDot() const;
 

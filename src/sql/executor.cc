@@ -3,7 +3,6 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/instruments.h"
@@ -32,58 +31,6 @@ Result<AggKind> ToAggKind(AggFunc func) {
       break;
   }
   return Status::InvalidArgument("not an aggregate");
-}
-
-/// Materializes the rows named by `oids` (source positions) from `rel`,
-/// keeping only `columns` (empty = all, in schema order). Snapshot-correct:
-/// cells whose physical value postdates `txn`'s snapshot materialize the
-/// value the snapshot reads (the version log's override).
-Result<std::shared_ptr<Relation>> MaterializeRows(
-    AdaptiveStore* store, const std::shared_ptr<Relation>& rel,
-    const std::vector<Oid>& oids, const std::vector<std::string>& columns,
-    TxnId txn, IoStats* io) {
-  std::vector<ColumnDef> defs;
-  std::vector<size_t> sources;
-  if (columns.empty()) {
-    defs = rel->schema().columns();
-    for (size_t i = 0; i < defs.size(); ++i) sources.push_back(i);
-  } else {
-    for (const std::string& name : columns) {
-      int idx = rel->schema().FieldIndex(name);
-      if (idx < 0) {
-        return Status::NotFound("no column '" + name + "' in " + rel->name());
-      }
-      defs.push_back(rel->schema().column(static_cast<size_t>(idx)));
-      sources.push_back(static_cast<size_t>(idx));
-    }
-  }
-  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> out,
-                         Relation::Create(rel->name() + "_result",
-                                          Schema(std::move(defs))));
-  for (size_t c = 0; c < sources.size(); ++c) {
-    const std::shared_ptr<Bat>& src = rel->column(sources[c]);
-    const std::shared_ptr<Bat>& dst = out->column(c);
-    const std::string& name = rel->schema().column(sources[c]).name;
-    CRACK_ASSIGN_OR_RETURN(SnapshotView view,
-                           store->ReadView(rel->name(), name, txn));
-    std::unordered_map<Oid, const Value*> overridden;
-    for (const auto& [oid, value] : view.overrides()) {
-      overridden.emplace(oid, &value);
-    }
-    Oid base = src->head_base();
-    for (Oid oid : oids) {
-      auto ov = overridden.find(oid);
-      Status st =
-          ov != overridden.end()
-              ? dst->AppendValue(*ov->second)
-              : dst->AppendValue(src->GetValue(static_cast<size_t>(
-                    oid - base)));
-      if (!st.ok()) return st;
-    }
-  }
-  io->tuples_read += oids.size() * sources.size();
-  io->tuples_written += oids.size() * sources.size();
-  return out;
 }
 
 /// Rewrites parsed predicates into the facade's conjunct shape.
@@ -237,85 +184,44 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
     const bool pushable =
         stmt.where.empty() || (stmt.where.size() == 1 &&
                                stmt.where[0].column == stmt.items[0].column);
+    Result<ColumnAggregates> agg = Status::Unimplemented(
+        "aggregate pushdown: predicate on another column");
     if (pushable) {
       TypedRange agg_range =
           stmt.where.empty() ? TypedRange::All() : stmt.where[0].range;
-      Result<ColumnAggregates> agg = store->AggregateRange(
-          stmt.table, stmt.items[0].column, agg_range, txn);
-      if (agg.ok()) {
-        int64_t acc = 0;
-        switch (stmt.items[0].agg) {
-          case AggFunc::kCount:
-            acc = static_cast<int64_t>(agg->rows);
-            break;
-          case AggFunc::kSum:
-            acc = agg->sum;
-            break;
-          case AggFunc::kMin:
-            acc = agg->has_minmax ? agg->min : 0;
-            break;
-          case AggFunc::kMax:
-            acc = agg->has_minmax ? agg->max : 0;
-            break;
-          case AggFunc::kNone:
-            break;
-        }
-        out.io += agg->io;
-        out.kind = OutputKind::kGroups;  // a single (global, value) row
-        out.groups.push_back(GroupAggregate{0, acc});
-        out.count = 1;
-        out.group_column = "<all>";
-        out.agg_description = StrFormat(
-            "%s(%s)", AggFuncName(stmt.items[0].agg),
-            stmt.items[0].column.c_str());
-        out.seconds = timer.ElapsedSeconds();
-        return out;
+      agg = store->AggregateRange(stmt.table, stmt.items[0].column, agg_range,
+                                  txn);
+    }
+    if (!agg.ok()) {
+      std::vector<Oid> oids;
+      if (stmt.where.empty()) {
+        CRACK_ASSIGN_OR_RETURN(oids, store->LiveOids(stmt.table, txn));
+      } else {
+        CRACK_ASSIGN_OR_RETURN(
+            oids, WhereOids(store, stmt.table, stmt.where, txn, &out.io));
       }
+      // Aggregate the values the snapshot reads, not the physical ones.
+      agg = store->AggregateOids(stmt.table, stmt.items[0].column, oids, txn);
+      if (!agg.ok()) return agg.status();
     }
-    std::vector<Oid> oids;
-    if (stmt.where.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, store->LiveOids(stmt.table, txn));
-    } else {
-      CRACK_ASSIGN_OR_RETURN(
-          oids, WhereOids(store, stmt.table, stmt.where, txn, &out.io));
-    }
-    // Aggregate the values the snapshot reads, not the physical ones.
-    CRACK_ASSIGN_OR_RETURN(
-        SnapshotView agg_view,
-        store->ReadView(stmt.table, stmt.items[0].column, txn));
-    std::unordered_map<Oid, int64_t> agg_overrides;
-    for (const auto& [oid, value] : agg_view.overrides()) {
-      agg_overrides.emplace(oid, value.ToInt64());
-    }
-    bool is32 = agg_col->tail_type() == ValueType::kInt32;
-    Oid base = agg_col->head_base();
     int64_t acc = 0;
-    bool first = true;
-    for (Oid oid : oids) {
-      size_t row = static_cast<size_t>(oid - base);
-      int64_t v = is32 ? agg_col->Get<int32_t>(row)
-                       : agg_col->Get<int64_t>(row);
-      auto ov = agg_overrides.find(oid);
-      if (ov != agg_overrides.end()) v = ov->second;
-      switch (stmt.items[0].agg) {
-        case AggFunc::kCount:
-          ++acc;
-          break;
-        case AggFunc::kSum:
-          acc += v;
-          break;
-        case AggFunc::kMin:
-          acc = first ? v : std::min(acc, v);
-          break;
-        case AggFunc::kMax:
-          acc = first ? v : std::max(acc, v);
-          break;
-        case AggFunc::kNone:
-          break;
-      }
-      first = false;
+    switch (stmt.items[0].agg) {
+      case AggFunc::kCount:
+        acc = static_cast<int64_t>(agg->rows);
+        break;
+      case AggFunc::kSum:
+        acc = agg->sum;
+        break;
+      case AggFunc::kMin:
+        acc = agg->has_minmax ? agg->min : 0;
+        break;
+      case AggFunc::kMax:
+        acc = agg->has_minmax ? agg->max : 0;
+        break;
+      case AggFunc::kNone:
+        break;
     }
-    out.io.tuples_read += oids.size();
+    out.io += agg->io;
     out.kind = OutputKind::kGroups;  // a single (global, value) row
     out.groups.push_back(GroupAggregate{0, acc});
     out.count = 1;
@@ -348,7 +254,8 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
   {
     obs::TraceSpan mat_span("materialize", stmt.table, &out.io);
     CRACK_ASSIGN_OR_RETURN(
-        out.rows, MaterializeRows(store, rel, oids, projection, txn, &out.io));
+        out.rows,
+        store->MaterializeRows(stmt.table, oids, projection, txn, &out.io));
   }
   out.kind = OutputKind::kRows;
   out.count = out.rows->num_rows();

@@ -27,6 +27,7 @@
 #include "core/latch.h"
 #include "core/task_pool.h"
 #include "engine/colstore_engine.h"
+#include "sql/executor.h"
 #include "storage/relation.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
@@ -878,6 +879,92 @@ TEST(ConcurrentStore, StringColumnUnderContention) {
   auto full = store->SelectRange("p", "s", all, Delivery::kCount);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->count, *live);
+}
+
+// ---------------------------------------------------------------------------
+// Two SQL sessions: row fetches and a cross-column SUM (which gathers base
+// values by oid outside any access path) race INSERT/UPDATE, whose base
+// appends may reallocate the very columns being gathered. Every base read
+// must sit under the table's base latch; run under TSan this proves it.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentStore, SqlGathersRaceAppendsAndUpdates) {
+  const uint64_t seed = TestSeed(4242);
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  const int64_t domain = 500;
+  // c1 is 1 on every row, before and after every write, so each answer has
+  // a snapshot-independent check: SUM(c1) equals the matching row count.
+  auto rel = *Relation::Create(
+      "t", Schema({{"c0", ValueType::kInt64}, {"c1", ValueType::kInt64}}));
+  Pcg32 init_rng(seed);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(rel->AppendRow({Value(init_rng.NextInRange(1, domain)),
+                                Value(int64_t{1})})
+                    .ok());
+  }
+  auto store = MakeConcurrentStore({AccessStrategy::kCrack,
+                                    CrackPolicy::kStandard,
+                                    DeltaMergePolicy::kThreshold});
+  ASSERT_TRUE(store->AddTable(rel).ok());
+
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    sql::SqlSession session(store.get());
+    Pcg32 rng(seed + 1);
+    for (int i = 0; i < 150 && !failed; ++i) {
+      const int64_t v = rng.NextInRange(1, domain);
+      const std::string stmt =
+          i % 2 == 0
+              ? "INSERT INTO t VALUES (" + std::to_string(v) + ", 1)"
+              : "UPDATE t SET c1 = 1 WHERE c0 BETWEEN " + std::to_string(v) +
+                    " AND " + std::to_string(v + 20);
+      auto r = session.ExecuteSql(stmt);
+      if (!r.ok()) {
+        ADD_FAILURE() << stmt << ": " << r.status().ToString();
+        failed = true;
+      }
+    }
+    done = true;
+  });
+  std::thread reader([&] {
+    sql::SqlSession session(store.get());
+    Pcg32 rng(seed + 2);
+    while (!done.load(std::memory_order_acquire) && !failed) {
+      const int64_t lo = rng.NextInRange(1, domain);
+      const std::string where = " WHERE c0 BETWEEN " + std::to_string(lo) +
+                                " AND " + std::to_string(lo + 60);
+      auto rows = session.ExecuteSql("SELECT * FROM t" + where);
+      auto sum = session.ExecuteSql("SELECT SUM(c1) FROM t" + where);
+      auto count = session.ExecuteSql("SELECT COUNT(*) FROM t" + where);
+      if (!rows.ok() || !sum.ok() || !count.ok()) {
+        ADD_FAILURE() << "read failed";
+        failed = true;
+        return;
+      }
+      for (size_t i = 0; i < rows->rows->num_rows(); ++i) {
+        const int64_t c0 = rows->rows->column(0)->Get<int64_t>(i);
+        if (c0 < lo || c0 > lo + 60 ||
+            rows->rows->column(1)->Get<int64_t>(i) != 1) {
+          ADD_FAILURE() << "row " << i << " breaks the predicate";
+          failed = true;
+          return;
+        }
+      }
+      // Rows only ever get added, so a later statement never sees fewer.
+      if (sum->groups.size() != 1 ||
+          sum->groups[0].value < static_cast<int64_t>(rows->count) ||
+          count->count < static_cast<uint64_t>(sum->groups[0].value)) {
+        ADD_FAILURE() << "SUM(c1) out of step with the row counts";
+        failed = true;
+        return;
+      }
+    }
+  });
+  writer.join();
+  reader.join();
+  ASSERT_FALSE(failed);
+  ASSERT_TRUE(store->Verify().ok());
 }
 
 }  // namespace

@@ -346,6 +346,33 @@ TEST(CrackerIndexTest, CostDecaysAcrossSequence) {
   EXPECT_LT(late_cost / 10, first_cost / 20);
 }
 
+TEST(CrackerIndexTest, ValidateCatchesMisplacedTuples) {
+  // A permutation, so every pair of pieces holds disjoint values and any
+  // swap across two pieces breaks a boundary.
+  std::vector<int64_t> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int64_t>(i);
+  Pcg32 rng(77);
+  for (size_t i = data.size() - 1; i > 0; --i) {
+    std::swap(data[i], data[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
+  }
+  CrackerIndex<int64_t> index(MakeColumn(data));
+  index.Select(300, true, 600, false);
+  index.SelectLessThan(100, true);
+  index.SelectEquals(800);
+  ASSERT_TRUE(index.Validate().ok());
+  const std::vector<CrackPiece<int64_t>> pieces = index.Pieces();
+  ASSERT_EQ(pieces.size(), 6u);
+  int64_t* d = index.values()->MutableTailData<int64_t>();
+  for (size_t a = 0; a < pieces.size(); ++a) {
+    for (size_t b = a + 1; b < pieces.size(); ++b) {
+      std::swap(d[pieces[a].begin], d[pieces[b].end - 1]);
+      EXPECT_FALSE(index.Validate().ok()) << "pieces " << a << ", " << b;
+      std::swap(d[pieces[a].begin], d[pieces[b].end - 1]);
+    }
+  }
+  EXPECT_TRUE(index.Validate().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Property sweep: random query mixes vs the naive scan, with Validate()
 // after every step.

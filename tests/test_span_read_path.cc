@@ -302,6 +302,10 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
         if (row.live && range.Contains(row.c0)) row.live = false;
       }
     }
+    // The answers above are only half the contract: every accelerator and
+    // the lineage must stay structurally sound after every operation.
+    Status verified = store.Verify();
+    ASSERT_TRUE(verified.ok()) << "op " << op << ": " << verified.ToString();
   }
 }
 

@@ -162,6 +162,9 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
           << ConfigName(config) << " op " << op;
       it->second = value;
     }
+    Status valid = path->Validate();
+    ASSERT_TRUE(valid.ok()) << ConfigName(config) << " op " << op << ": "
+                            << valid.ToString();
   }
 
   // A manual flush must not change any answer, and must drain the deltas of
@@ -476,6 +479,8 @@ TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
       }
       ASSERT_EQ(qr->count, expected) << "op " << op;
     }
+    Status verified = store.Verify();
+    ASSERT_TRUE(verified.ok()) << "op " << op << ": " << verified.ToString();
   }
 
   // Terminal accounting: live row count and full-range selects agree.
