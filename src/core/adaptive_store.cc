@@ -216,30 +216,6 @@ AccessPathConfig AdaptiveStore::PathConfigFor(const std::string& key) const {
   return config;
 }
 
-Result<AdaptiveStore::ColumnAccel*> AdaptiveStore::Accel(
-    const std::string& table, const std::string& column,
-    const std::shared_ptr<Bat>& bat) {
-  const std::string key = table + "." + column;
-  ColumnAccel& accel = accels_[key];
-  if (accel.path == nullptr) {
-    CRACK_ASSIGN_OR_RETURN(accel.path,
-                           CreateColumnAccessPath(bat, PathConfigFor(key)));
-    // A path born after a vacuum must not resurrect purged rows: the lazy
-    // accelerator build reads the append-only base, which still holds them
-    // physically. (Versioned-but-unpurged deletes need no replay — the
-    // SnapshotView filters them at read time.)
-    VersionedTable* vt = VersionsIfAny(table);
-    if (vt != nullptr) {
-      for (Oid oid : vt->PurgedOids()) {
-        Status st = accel.path->Delete(oid);
-        CRACK_DCHECK(st.ok() || st.IsNotFound());
-        (void)st;
-      }
-    }
-  }
-  return &accel;
-}
-
 // --- MVCC machinery ---------------------------------------------------------
 
 VersionedTable* AdaptiveStore::VersionsFor(const std::string& table) const {
@@ -502,9 +478,7 @@ Status AdaptiveStore::RollbackLocked(TxnId txn, TxnState* state) {
       if (options_.concurrent) rl.lock();
       auto ait = accels_.find(it->table + "." + it->column);
       if (ait != accels_.end() &&
-          (options_.concurrent
-               ? ait->second.has_path.load(std::memory_order_acquire)
-               : ait->second.path != nullptr)) {
+          ait->second.has_path.load(std::memory_order_acquire)) {
         path = ait->second.path.get();
       }
     }
@@ -560,14 +534,13 @@ Result<uint64_t> AdaptiveStore::StampDeletes(const std::string& table,
   return removed;
 }
 
-// --- concurrent-mode machinery ---------------------------------------------
+// --- latch-protocol machinery (uncontended in a serial store) -------------
 
-void AdaptiveStore::ConcurrentEntries(const std::string& table,
-                                      const std::string& column,
-                                      ColumnAccel** accel, TableState** ts) {
+AdaptiveStore::ColumnAccel* AdaptiveStore::AccelSlot(
+    const std::string& table, const std::string& column, TableState** ts) {
   std::lock_guard<std::mutex> rl(registry_mu_);
-  *accel = &accels_[table + "." + column];
-  *ts = &table_states_[table];
+  if (ts != nullptr) *ts = &table_states_[table];
+  return &accels_[table + "." + column];
 }
 
 AdaptiveStore::TableState* AdaptiveStore::TableStateFor(
@@ -576,19 +549,17 @@ AdaptiveStore::TableState* AdaptiveStore::TableStateFor(
   return &table_states_[table];
 }
 
-Status AdaptiveStore::CreatePathLocked(const std::string& table,
-                                       const std::string& column,
-                                       ColumnAccel* accel,
-                                       const std::shared_ptr<Bat>& bat,
-                                       TableState* ts) {
+Status AdaptiveStore::CreatePath(const std::string& table,
+                                 const std::string& column, ColumnAccel* accel,
+                                 const std::shared_ptr<Bat>& bat) {
   if (accel->has_path.load(std::memory_order_acquire)) return Status::OK();
-  (void)ts;
   CRACK_ASSIGN_OR_RETURN(
       accel->path,
       CreateColumnAccessPath(bat, PathConfigFor(table + "." + column)));
-  // A path born after a vacuum must not resurrect purged rows: replay them
-  // before publishing the path (versioned deletes are filtered by the
-  // SnapshotView at read time and need no replay).
+  // A path born after a vacuum must not resurrect purged rows: the lazy
+  // accelerator build reads the append-only base, which still holds them
+  // physically. Replay them before publishing the path (versioned deletes
+  // are filtered by the SnapshotView at read time and need no replay).
   VersionedTable* vt = VersionsIfAny(table);
   if (vt != nullptr) {
     for (Oid oid : vt->PurgedOids()) {
@@ -661,9 +632,8 @@ Result<QueryResult> AdaptiveStore::SelectRangeConcurrent(
   WallTimer timer;
   obs::TraceSpan trace_span("select(shared)", table + "." + column,
                             &result.io);
-  ColumnAccel* accel;
   TableState* ts;
-  ConcurrentEntries(table, column, &accel, &ts);
+  ColumnAccel* accel = AccelSlot(table, column, &ts);
 
   // The MVCC read filter, captured before any latch: its horizon hides
   // rows appended after this point, so the filter needs no base latch.
@@ -690,7 +660,7 @@ Result<QueryResult> AdaptiveStore::SelectRangeConcurrent(
   } else {
     std::unique_lock<std::shared_mutex> col(accel->latch);
     std::shared_lock<std::shared_mutex> base(ts->base_latch);
-    CRACK_RETURN_NOT_OK(CreatePathLocked(table, column, accel, bat, ts));
+    CRACK_RETURN_NOT_OK(CreatePath(table, column, accel, bat));
     CRACK_ASSIGN_OR_RETURN(
         AccessSelection sel,
         accel->path->SelectTyped(range, want_oids, &result.io, view_ptr));
@@ -712,9 +682,8 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeConcurrent(
 
   IoStats io;
   obs::TraceSpan trace_span("aggregate(shared)", table + "." + column, &io);
-  ColumnAccel* accel;
   TableState* ts;
-  ConcurrentEntries(table, column, &accel, &ts);
+  ColumnAccel* accel = AccelSlot(table, column, &ts);
 
   SnapshotView view = ViewForColumn(table, column, snap);
   const SnapshotView* view_ptr = view.active() ? &view : nullptr;
@@ -733,7 +702,7 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeConcurrent(
   } else {
     std::unique_lock<std::shared_mutex> col(accel->latch);
     std::shared_lock<std::shared_mutex> base(ts->base_latch);
-    CRACK_RETURN_NOT_OK(CreatePathLocked(table, column, accel, bat, ts));
+    CRACK_RETURN_NOT_OK(CreatePath(table, column, accel, bat));
     out = accel->path->AggregateRange(bounds, &io, view_ptr);
   }
   if (!out.ok()) return out.status();
@@ -801,256 +770,6 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionLocked(
   return result;
 }
 
-Result<QueryResult> AdaptiveStore::InsertConcurrent(const std::string& table,
-                                                    std::vector<Value> values,
-                                                    const WriteScope& scope) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("insert(shared)", table, &result.io);
-  CRACK_RETURN_NOT_OK(CoerceRow(rel->schema(), &values));
-
-  size_t ncols = rel->num_columns();
-  std::vector<ColumnAccel*> accels(ncols);
-  TableState* ts;
-  {
-    std::lock_guard<std::mutex> rl(registry_mu_);
-    for (size_t c = 0; c < ncols; ++c) {
-      accels[c] = &accels_[table + "." + rel->schema().column(c).name];
-    }
-    ts = &table_states_[table];
-  }
-  VersionedTable* vt = VersionsFor(table);
-  // Latch acquisition in key (= column-name) order; pathless columns take
-  // the exclusive latch so no path can be created (and built from a
-  // half-appended base) while the row lands.
-  std::vector<size_t> order(ncols);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return rel->schema().column(a).name < rel->schema().column(b).name;
-  });
-
-  Oid oid = 0;
-  {
-    std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
-    std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
-    for (size_t idx : order) {
-      ColumnAccel* accel = accels[idx];
-      bool shared = accel->has_path.load(std::memory_order_acquire) &&
-                    accel->path->concurrency() ==
-                        PathConcurrency::kSharedReads;
-      if (shared) {
-        shared_locks.emplace_back(accel->latch);
-      } else {
-        unique_locks.emplace_back(accel->latch);
-      }
-    }
-    std::unique_lock<std::shared_mutex> base(ts->base_latch);
-
-    // Stamp before the physical append: any reader that can observe the
-    // row physically must find its (uncommitted) version stamp.
-    oid = BaseOid(*rel) + rel->num_rows();
-    vt->NoteInsert(oid, TxnStamp(scope.txn));
-    Touch(scope, table, oid);  // with the stamp: rollback must revert it
-    CRACK_RETURN_NOT_OK(rel->AppendRow(values));
-    result.io.tuples_written += ncols;
-    for (size_t c = 0; c < ncols; ++c) {
-      // Re-read under the held latch: a path that appeared since the mode
-      // snapshot sits behind our exclusive latch and gets notified; one
-      // that never appeared will lazy-build from the appended base.
-      if (!accels[c]->has_path.load(std::memory_order_acquire)) continue;
-      CRACK_RETURN_NOT_OK(
-          accels[c]->path->Insert(values[c], oid, &result.io));
-    }
-  }
-  if (wal_ != nullptr) {
-    durability::WalOp op;
-    op.kind = durability::WalOpKind::kInsert;
-    op.table = table;
-    op.oid = oid;
-    op.row = values;  // post-coercion: replay appends them verbatim
-    PushRedo(scope, std::move(op));
-  }
-  // Post-statement folds (immediate / threshold) outside the DML latches.
-  for (size_t c = 0; c < ncols; ++c) {
-    CRACK_RETURN_NOT_OK(MaintainColumn(accels[c], ts, &result.io));
-  }
-
-  result.count = 1;
-  result.inserted_oid = oid;
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<QueryResult> AdaptiveStore::DeleteConcurrent(
-    const std::string& table, const std::vector<ColumnRange>& conjuncts,
-    const WriteScope& scope) {
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("delete(shared)", table, &result.io);
-  std::vector<Oid> oids;
-  if (conjuncts.empty()) {
-    CRACK_ASSIGN_OR_RETURN(oids, LiveOidsLocked(table, scope.snap));
-  } else {
-    // The WHERE is a read like any other: it cracks the referenced columns
-    // on its way to the victim set.
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectConjunctionLocked(table, conjuncts, Delivery::kView,
-                                scope.snap));
-    result.io += qr.io;
-    oids = std::move(qr).CollectOids();
-  }
-  // Deletes are version stamps only — no access-path latches needed; the
-  // rows stay physically in place until vacuum folds them out.
-  CRACK_ASSIGN_OR_RETURN(result.count,
-                         StampDeletes(table, scope, oids, &result.io));
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<QueryResult> AdaptiveStore::UpdateConcurrent(
-    const std::string& table, const std::vector<Assignment>& sets,
-    const std::vector<ColumnRange>& conjuncts, const WriteScope& scope) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("update(shared)", table, &result.io);
-  std::vector<Oid> oids;
-  if (conjuncts.empty()) {
-    CRACK_ASSIGN_OR_RETURN(oids, LiveOidsLocked(table, scope.snap));
-  } else {
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectConjunctionLocked(table, conjuncts, Delivery::kView,
-                                scope.snap));
-    result.io += qr.io;
-    oids = std::move(qr).CollectOids();
-  }
-
-  CRACK_RETURN_NOT_OK(ValidateAssignments(*rel, sets));
-
-  std::vector<ColumnAccel*> accels(sets.size());
-  // Distinct latch set, already in key order: duplicate SET clauses on one
-  // column are legal (last one wins), but a shared_mutex must never be
-  // acquired twice by one thread.
-  std::map<std::string, ColumnAccel*> distinct;
-  TableState* ts;
-  {
-    std::lock_guard<std::mutex> rl(registry_mu_);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      accels[s] = &accels_[table + "." + sets[s].column];
-      distinct[sets[s].column] = accels[s];
-    }
-    ts = &table_states_[table];
-  }
-  VersionedTable* vt = VersionsFor(table);
-
-  uint64_t applied = 0;
-  {
-    std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
-    std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
-    for (const auto& [name, accel] : distinct) {
-      bool shared = accel->has_path.load(std::memory_order_acquire) &&
-                    accel->path->concurrency() ==
-                        PathConcurrency::kSharedReads;
-      if (shared) {
-        shared_locks.emplace_back(accel->latch);
-      } else {
-        unique_locks.emplace_back(accel->latch);
-      }
-    }
-    // Base exclusive: the slot overwrites must not race base readers.
-    std::unique_lock<std::shared_mutex> base(ts->base_latch);
-
-    std::vector<std::shared_ptr<Bat>> bats(sets.size());
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bats[s] = *rel->column(sets[s].column);
-    }
-    for (Oid oid : oids) {
-      // Write admission revalidates liveness (the row may have died
-      // between the WHERE select and this write phase) and detects
-      // write-write conflicts first-committer-wins.
-      std::string why;
-      VersionedTable::Admission adm =
-          vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
-      if (adm == VersionedTable::Admission::kSkip) continue;
-      if (adm == VersionedTable::Admission::kConflict) {
-        if (scope.implicit) continue;  // pre-MVCC race semantics
-        return Status::Aborted("UPDATE " + why);
-      }
-      Touch(scope, table, oid);
-      bool row_applied = true;
-      for (size_t s = 0; s < sets.size(); ++s) {
-        Oid base_oid = bats[s]->head_base();
-        size_t row = static_cast<size_t>(oid - base_oid);
-        Value old_value = bats[s]->GetValue(row);
-        vt->StampUpdate(oid, sets[s].column, old_value,
-                        TxnStamp(scope.txn));
-        PushUndo(scope, UndoRecord{table, sets[s].column, oid,
-                                   std::move(old_value)});
-        CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
-        if (wal_ != nullptr) {
-          durability::WalOp op;
-          op.kind = durability::WalOpKind::kUpdate;
-          op.table = table;
-          op.oid = oid;
-          op.column = sets[s].column;
-          op.value = sets[s].value;
-          PushRedo(scope, std::move(op));
-        }
-        result.io.tuples_written += 1;
-        if (!accels[s]->has_path.load(std::memory_order_acquire)) continue;
-        Status st = accels[s]->path->Update(oid, sets[s].value, &result.io);
-        if (st.IsNotFound()) {
-          // The path believes the row is physically dead (vacuum-purged
-          // under our feet); skip the row rather than aborting the
-          // statement half-applied.
-          row_applied = false;
-          continue;
-        }
-        CRACK_RETURN_NOT_OK(st);
-      }
-      if (row_applied) ++applied;
-    }
-  }
-  for (size_t s = 0; s < sets.size(); ++s) {
-    CRACK_RETURN_NOT_OK(MaintainColumn(accels[s], ts, &result.io));
-  }
-
-  result.count = applied;
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<std::vector<Oid>> AdaptiveStore::LiveOidsLocked(
-    const std::string& table, const Snapshot& snap) const {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-  TableState* ts = TableStateFor(table);
-  VersionedTable* vt = VersionsIfAny(table);
-  std::shared_lock<std::shared_mutex> base(ts->base_latch);
-  std::vector<Oid> oids;
-  oids.reserve(rel->num_rows());
-  Oid base_oid = BaseOid(*rel);
-  for (size_t i = 0; i < rel->num_rows(); ++i) {
-    Oid oid = base_oid + i;
-    if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
-    oids.push_back(oid);
-  }
-  return oids;
-}
-
 void AdaptiveStore::AddIo(const IoStats& io) {
   if (options_.concurrent) {
     std::lock_guard<std::mutex> il(io_mu_);
@@ -1078,7 +797,8 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
   WallTimer timer;
   obs::TraceSpan trace_span("select", table + "." + column, &result.io);
 
-  CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
+  ColumnAccel* accel = AccelSlot(table, column);
+  CRACK_RETURN_NOT_OK(CreatePath(table, column, accel, bat));
   bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
   if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
     accel->root = lineage_.AddRoot(table + "." + column, bat->size());
@@ -1152,7 +872,8 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
   if (!bat_result.ok()) return bat_result.status();
   std::shared_ptr<Bat> bat = *bat_result;
 
-  CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
+  ColumnAccel* accel = AccelSlot(table, column);
+  CRACK_RETURN_NOT_OK(CreatePath(table, column, accel, bat));
   bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
   if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
     accel->root = lineage_.AddRoot(table + "." + column, bat->size());
@@ -1365,15 +1086,31 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   return result;
 }
 
+Result<std::vector<Oid>> AdaptiveStore::WhereOids(
+    const std::string& table, const std::vector<ColumnRange>& conjuncts,
+    const WriteScope& scope, IoStats* io) {
+  if (conjuncts.empty()) return LiveOidsAt(table, scope.snap);
+  // The WHERE is a read like any other: it cracks the referenced columns on
+  // its way to the victim set. Selects keep their serial twin (span sets,
+  // the fused scan, lineage), so this is the one mode fork DML takes; the
+  // concurrent read runs under the global latch the caller already holds.
+  Result<QueryResult> qr =
+      options_.concurrent
+          ? SelectConjunctionLocked(table, conjuncts, Delivery::kView,
+                                    scope.snap)
+          : SelectConjunction(table, conjuncts, Delivery::kView, scope.txn);
+  if (!qr.ok()) return qr.status();
+  *io += qr->io;
+  return std::move(*qr).CollectOids();
+}
+
 Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
                                           std::vector<Value> values,
                                           TxnId txn) {
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return InsertConcurrent(table, std::move(values), scope);
-    }
+    std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+    if (options_.concurrent) g.lock();
     auto rel_result = this->table(table);
     if (!rel_result.ok()) return rel_result.status();
     std::shared_ptr<Relation> rel = *rel_result;
@@ -1382,20 +1119,60 @@ Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
     WallTimer timer;
     obs::TraceSpan trace_span("insert", table, &result.io);
     CRACK_RETURN_NOT_OK(CoerceRow(rel->schema(), &values));
-    // Stamp before the physical append (uniform with concurrent mode).
-    Oid oid = BaseOid(*rel) + rel->num_rows();
-    VersionsFor(table)->NoteInsert(oid, TxnStamp(scope.txn));
-    Touch(scope, table, oid);
-    CRACK_RETURN_NOT_OK(rel->AppendRow(values));
-    result.io.tuples_written += rel->num_columns();
 
-    // Every materialized accelerator absorbs the new row; columns never
-    // queried stay lazy (their eventual build reads the appended base).
-    for (size_t c = 0; c < rel->num_columns(); ++c) {
-      auto it = accels_.find(table + "." + rel->schema().column(c).name);
-      if (it == accels_.end() || it->second.path == nullptr) continue;
-      CRACK_RETURN_NOT_OK(
-          it->second.path->Insert(values[c], oid, &result.io));
+    size_t ncols = rel->num_columns();
+    std::vector<ColumnAccel*> accels(ncols);
+    TableState* ts;
+    {
+      std::lock_guard<std::mutex> rl(registry_mu_);
+      for (size_t c = 0; c < ncols; ++c) {
+        accels[c] = &accels_[table + "." + rel->schema().column(c).name];
+      }
+      ts = &table_states_[table];
+    }
+    VersionedTable* vt = VersionsFor(table);
+    // Latch acquisition in key (= column-name) order; pathless columns take
+    // the exclusive latch so no path can be created (and built from a
+    // half-appended base) while the row lands.
+    std::vector<size_t> order(ncols);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return rel->schema().column(a).name < rel->schema().column(b).name;
+    });
+
+    Oid oid = 0;
+    {
+      std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
+      std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
+      for (size_t idx : order) {
+        ColumnAccel* accel = accels[idx];
+        bool shared = accel->has_path.load(std::memory_order_acquire) &&
+                      accel->path->concurrency() ==
+                          PathConcurrency::kSharedReads;
+        if (shared) {
+          shared_locks.emplace_back(accel->latch);
+        } else {
+          unique_locks.emplace_back(accel->latch);
+        }
+      }
+      std::unique_lock<std::shared_mutex> base(ts->base_latch);
+
+      // Stamp before the physical append: any reader that can observe the
+      // row physically must find its (uncommitted) version stamp.
+      oid = BaseOid(*rel) + rel->num_rows();
+      vt->NoteInsert(oid, TxnStamp(scope.txn));
+      Touch(scope, table, oid);  // with the stamp: rollback must revert it
+      CRACK_RETURN_NOT_OK(rel->AppendRow(values));
+      result.io.tuples_written += ncols;
+      for (size_t c = 0; c < ncols; ++c) {
+        // Every materialized accelerator absorbs the new row. Re-read under
+        // the held latch: a path that appeared since the mode snapshot sits
+        // behind our exclusive latch and gets notified; one that never
+        // appeared will lazy-build from the appended base.
+        if (!accels[c]->has_path.load(std::memory_order_acquire)) continue;
+        CRACK_RETURN_NOT_OK(
+            accels[c]->path->Insert(values[c], oid, &result.io));
+      }
     }
     if (wal_ != nullptr) {
       durability::WalOp op;
@@ -1404,6 +1181,10 @@ Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
       op.oid = oid;
       op.row = values;  // post-coercion: replay appends them verbatim
       PushRedo(scope, std::move(op));
+    }
+    // Post-statement folds (immediate / threshold) outside the DML latches.
+    for (size_t c = 0; c < ncols; ++c) {
+      CRACK_RETURN_NOT_OK(MaintainColumn(accels[c], ts, &result.io));
     }
 
     result.count = 1;
@@ -1438,25 +1219,15 @@ Result<QueryResult> AdaptiveStore::Delete(
     TxnId txn) {
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return DeleteConcurrent(table, conjuncts, scope);
-    }
+    std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+    if (options_.concurrent) g.lock();
     QueryResult result;
     WallTimer timer;
     obs::TraceSpan trace_span("delete", table, &result.io);
-    std::vector<Oid> oids;
-    if (conjuncts.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, LiveOids(table, scope.txn));
-    } else {
-      // The WHERE is a read like any other: it cracks the referenced
-      // columns on its way to the victim set.
-      CRACK_ASSIGN_OR_RETURN(
-          QueryResult qr,
-          SelectConjunction(table, conjuncts, Delivery::kView, scope.txn));
-      result.io += qr.io;
-      oids = std::move(qr).CollectOids();
-    }
+    CRACK_ASSIGN_OR_RETURN(std::vector<Oid> oids,
+                           WhereOids(table, conjuncts, scope, &result.io));
+    // Deletes are version stamps only — no access-path latches needed; the
+    // rows stay physically in place until vacuum folds them out.
     CRACK_ASSIGN_OR_RETURN(result.count,
                            StampDeletes(table, scope, oids, &result.io));
     result.seconds = timer.ElapsedSeconds();
@@ -1473,10 +1244,8 @@ Result<QueryResult> AdaptiveStore::Update(
   }
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return UpdateConcurrent(table, sets, conjuncts, scope);
-    }
+    std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+    if (options_.concurrent) g.lock();
     auto rel_result = this->table(table);
     if (!rel_result.ok()) return rel_result.status();
     std::shared_ptr<Relation> rel = *rel_result;
@@ -1484,65 +1253,98 @@ Result<QueryResult> AdaptiveStore::Update(
     QueryResult result;
     WallTimer timer;
     obs::TraceSpan trace_span("update", table, &result.io);
-    std::vector<Oid> oids;
-    if (conjuncts.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, LiveOids(table, scope.txn));
-    } else {
-      CRACK_ASSIGN_OR_RETURN(
-          QueryResult qr,
-          SelectConjunction(table, conjuncts, Delivery::kView, scope.txn));
-      result.io += qr.io;
-      oids = std::move(qr).CollectOids();
-    }
-
+    CRACK_ASSIGN_OR_RETURN(std::vector<Oid> oids,
+                           WhereOids(table, conjuncts, scope, &result.io));
     CRACK_RETURN_NOT_OK(ValidateAssignments(*rel, sets));
+
+    std::vector<ColumnAccel*> accels(sets.size());
+    // Distinct latch set, already in key order: duplicate SET clauses on
+    // one column are legal (last one wins), but a shared_mutex must never
+    // be acquired twice by one thread.
+    std::map<std::string, ColumnAccel*> distinct;
+    TableState* ts;
+    {
+      std::lock_guard<std::mutex> rl(registry_mu_);
+      for (size_t s = 0; s < sets.size(); ++s) {
+        accels[s] = &accels_[table + "." + sets[s].column];
+        distinct[sets[s].column] = accels[s];
+      }
+      ts = &table_states_[table];
+    }
     VersionedTable* vt = VersionsFor(table);
 
-    std::vector<std::shared_ptr<Bat>> bats(sets.size());
-    std::vector<ColumnAccessPath*> paths(sets.size(), nullptr);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bats[s] = *rel->column(sets[s].column);
-      auto it = accels_.find(table + "." + sets[s].column);
-      if (it != accels_.end() && it->second.path != nullptr) {
-        paths[s] = it->second.path.get();
+    uint64_t applied = 0;
+    {
+      std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
+      std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
+      for (const auto& [name, accel] : distinct) {
+        bool shared = accel->has_path.load(std::memory_order_acquire) &&
+                      accel->path->concurrency() ==
+                          PathConcurrency::kSharedReads;
+        if (shared) {
+          shared_locks.emplace_back(accel->latch);
+        } else {
+          unique_locks.emplace_back(accel->latch);
+        }
+      }
+      // Base exclusive: the slot overwrites must not race base readers.
+      std::unique_lock<std::shared_mutex> base(ts->base_latch);
+
+      std::vector<std::shared_ptr<Bat>> bats(sets.size());
+      for (size_t s = 0; s < sets.size(); ++s) {
+        bats[s] = *rel->column(sets[s].column);
+      }
+      for (Oid oid : oids) {
+        // Write admission revalidates liveness (the row may have died
+        // between the WHERE select and this write phase) and detects
+        // write-write conflicts first-committer-wins.
+        std::string why;
+        VersionedTable::Admission adm =
+            vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
+        if (adm == VersionedTable::Admission::kSkip) continue;
+        if (adm == VersionedTable::Admission::kConflict) {
+          if (scope.implicit) continue;  // pre-MVCC race semantics
+          return Status::Aborted("UPDATE " + why);
+        }
+        Touch(scope, table, oid);
+        bool row_applied = true;
+        for (size_t s = 0; s < sets.size(); ++s) {
+          size_t row = static_cast<size_t>(oid - bats[s]->head_base());
+          // Log the superseded value (older snapshots keep reading it),
+          // then write through: base first, then the accelerator's delta.
+          Value old_value = bats[s]->GetValue(row);
+          vt->StampUpdate(oid, sets[s].column, old_value,
+                          TxnStamp(scope.txn));
+          PushUndo(scope, UndoRecord{table, sets[s].column, oid,
+                                     std::move(old_value)});
+          CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
+          if (wal_ != nullptr) {
+            durability::WalOp op;
+            op.kind = durability::WalOpKind::kUpdate;
+            op.table = table;
+            op.oid = oid;
+            op.column = sets[s].column;
+            op.value = sets[s].value;
+            PushRedo(scope, std::move(op));
+          }
+          result.io.tuples_written += 1;
+          if (!accels[s]->has_path.load(std::memory_order_acquire)) continue;
+          Status st =
+              accels[s]->path->Update(oid, sets[s].value, &result.io);
+          if (st.IsNotFound()) {
+            // The path believes the row is physically dead (vacuum-purged
+            // under our feet); skip the row rather than aborting the
+            // statement half-applied.
+            row_applied = false;
+            continue;
+          }
+          CRACK_RETURN_NOT_OK(st);
+        }
+        if (row_applied) ++applied;
       }
     }
-    uint64_t applied = 0;
-    for (Oid oid : oids) {
-      std::string why;
-      VersionedTable::Admission adm =
-          vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
-      if (adm == VersionedTable::Admission::kSkip) continue;
-      if (adm == VersionedTable::Admission::kConflict) {
-        if (scope.implicit) continue;
-        return Status::Aborted("UPDATE " + why);
-      }
-      Touch(scope, table, oid);
-      for (size_t s = 0; s < sets.size(); ++s) {
-        size_t row = static_cast<size_t>(oid - bats[s]->head_base());
-        // Log the superseded value (older snapshots keep reading it), then
-        // write through: base first, then the accelerator's delta.
-        Value old_value = bats[s]->GetValue(row);
-        vt->StampUpdate(oid, sets[s].column, old_value, TxnStamp(scope.txn));
-        PushUndo(scope, UndoRecord{table, sets[s].column, oid,
-                                   std::move(old_value)});
-        CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
-        if (wal_ != nullptr) {
-          durability::WalOp op;
-          op.kind = durability::WalOpKind::kUpdate;
-          op.table = table;
-          op.oid = oid;
-          op.column = sets[s].column;
-          op.value = sets[s].value;
-          PushRedo(scope, std::move(op));
-        }
-        result.io.tuples_written += 1;
-        if (paths[s] != nullptr) {
-          CRACK_RETURN_NOT_OK(
-              paths[s]->Update(oid, sets[s].value, &result.io));
-        }
-      }
-      ++applied;
+    for (size_t s = 0; s < sets.size(); ++s) {
+      CRACK_RETURN_NOT_OK(MaintainColumn(accels[s], ts, &result.io));
     }
 
     result.count = applied;
@@ -1555,19 +1357,24 @@ Result<QueryResult> AdaptiveStore::Update(
 Result<std::vector<Oid>> AdaptiveStore::LiveOids(const std::string& table,
                                                  TxnId txn) const {
   CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return LiveOidsLocked(table, snap);
-  }
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  if (options_.concurrent) g.lock();
+  return LiveOidsAt(table, snap);
+}
+
+Result<std::vector<Oid>> AdaptiveStore::LiveOidsAt(
+    const std::string& table, const Snapshot& snap) const {
   auto rel_result = this->table(table);
   if (!rel_result.ok()) return rel_result.status();
   std::shared_ptr<Relation> rel = *rel_result;
+  TableState* ts = TableStateFor(table);
   VersionedTable* vt = VersionsIfAny(table);
+  std::shared_lock<std::shared_mutex> base(ts->base_latch);
   std::vector<Oid> oids;
   oids.reserve(rel->num_rows());
-  Oid base = BaseOid(*rel);
+  Oid base_oid = BaseOid(*rel);
   for (size_t i = 0; i < rel->num_rows(); ++i) {
-    Oid oid = base + i;
+    Oid oid = base_oid + i;
     if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
     oids.push_back(oid);
   }
@@ -1631,10 +1438,9 @@ Status AdaptiveStore::Verify() const {
     rl.lock();
   }
   for (const auto& [key, accel] : accels_) {
-    const bool has = options_.concurrent
-                         ? accel.has_path.load(std::memory_order_acquire)
-                         : accel.path != nullptr;
-    if (has) CRACK_RETURN_NOT_OK(accel.path->Validate().WithContext(key));
+    if (accel.has_path.load(std::memory_order_acquire)) {
+      CRACK_RETURN_NOT_OK(accel.path->Validate().WithContext(key));
+    }
     if (accel.root != kInvalidPieceId) {
       CRACK_RETURN_NOT_OK(
           lineage_.CheckLossless(accel.root).WithContext(key));
@@ -1671,10 +1477,9 @@ Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
            it != accels_.end() &&
            it->first.compare(0, prefix.size(), prefix) == 0;
            ++it) {
-        bool has = options_.concurrent
-                       ? it->second.has_path.load(std::memory_order_acquire)
-                       : it->second.path != nullptr;
-        if (has) paths.push_back(it->second.path.get());
+        if (it->second.has_path.load(std::memory_order_acquire)) {
+          paths.push_back(it->second.path.get());
+        }
       }
     }
     for (ColumnAccessPath* path : paths) {
@@ -2009,43 +1814,37 @@ Result<ColumnAggregates> AdaptiveStore::AggregateOids(
   return out;
 }
 
+const AdaptiveStore::ColumnAccel* AdaptiveStore::BuiltAccel(
+    const std::string& table, const std::string& column) const {
+  std::lock_guard<std::mutex> rl(registry_mu_);
+  auto it = accels_.find(table + "." + column);
+  if (it == accels_.end() ||
+      !it->second.has_path.load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
 Result<ColumnAccessPath*> AdaptiveStore::AccessPathFor(
     const std::string& table, const std::string& column) const {
   // Concurrent mode: the borrowed pointer is safe to hand out (paths are
   // never destroyed while the store lives), but using it for introspection
   // is only meaningful on a quiesced store.
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() ||
-      !(options_.concurrent
-            ? it->second.has_path.load(std::memory_order_acquire)
-            : it->second.path != nullptr)) {
+  const ColumnAccel* accel = BuiltAccel(table, column);
+  if (accel == nullptr) {
     return Status::NotFound("no access path yet for " + table + "." + column);
   }
-  return it->second.path.get();
+  return accel->path.get();
 }
 
 Result<size_t> AdaptiveStore::NumPieces(const std::string& table,
                                         const std::string& column) const {
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    const ColumnAccel* accel = nullptr;
-    {
-      std::lock_guard<std::mutex> rl(registry_mu_);
-      auto it = accels_.find(table + "." + column);
-      if (it != accels_.end()) accel = &it->second;
-    }
-    if (accel == nullptr ||
-        !accel->has_path.load(std::memory_order_acquire)) {
-      return size_t{1};
-    }
-    std::shared_lock<std::shared_mutex> col(accel->latch);
-    return accel->path->NumPieces();
-  }
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() || it->second.path == nullptr) return size_t{1};
-  return it->second.path->NumPieces();
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  if (options_.concurrent) g.lock();
+  const ColumnAccel* accel = BuiltAccel(table, column);
+  if (accel == nullptr) return size_t{1};
+  std::shared_lock<std::shared_mutex> col(accel->latch);
+  return accel->path->NumPieces();
 }
 
 Result<std::string> AdaptiveStore::ExplainColumn(
@@ -2059,26 +1858,11 @@ Result<std::string> AdaptiveStore::ExplainColumn(
                               ValueTypeName((*bat)->tail_type()),
                               (*bat)->size(),
                               AccessStrategyName(options_.strategy));
-  if (options_.concurrent) {
-    const ColumnAccel* accel = nullptr;
-    {
-      std::lock_guard<std::mutex> rl(registry_mu_);
-      auto it = accels_.find(table + "." + column);
-      if (it != accels_.end()) accel = &it->second;
-    }
-    if (accel == nullptr ||
-        !accel->has_path.load(std::memory_order_acquire)) {
-      return out + "no accelerator yet (never queried)\n";
-    }
-    // Exclusive: Explain reads piece tables and delta sizes wholesale.
-    std::unique_lock<std::shared_mutex> col(accel->latch);
-    return out + accel->path->Explain();
-  }
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() || it->second.path == nullptr) {
-    return out + "no accelerator yet (never queried)\n";
-  }
-  return out + it->second.path->Explain();
+  const ColumnAccel* accel = BuiltAccel(table, column);
+  if (accel == nullptr) return out + "no accelerator yet (never queried)\n";
+  // Exclusive: Explain reads piece tables and delta sizes wholesale.
+  std::unique_lock<std::shared_mutex> col(accel->latch);
+  return out + accel->path->Explain();
 }
 
 Status AdaptiveStore::SetPolicy(const CrackPolicyOptions& options) {
@@ -2101,10 +1885,9 @@ Status AdaptiveStore::ApplyPolicy(const CrackPolicyOptions& options) {
     std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
     if (options_.concurrent) rl.lock();
     for (auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (has) accels.push_back(&accel);
+      if (accel.has_path.load(std::memory_order_acquire)) {
+        accels.push_back(&accel);
+      }
     }
   }
   for (ColumnAccel* accel : accels) {
@@ -2124,10 +1907,9 @@ std::vector<AdaptiveStore::ColumnPolicy> AdaptiveStore::PolicyReport() const {
     std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
     if (options_.concurrent) rl.lock();
     for (const auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (has) accels.emplace_back(key, &accel);
+      if (accel.has_path.load(std::memory_order_acquire)) {
+        accels.emplace_back(key, &accel);
+      }
     }
   }
   for (const auto& [key, accel] : accels) {

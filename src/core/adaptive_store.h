@@ -502,12 +502,14 @@ class AdaptiveStore {
  private:
   struct ColumnAccel {
     std::unique_ptr<ColumnAccessPath> path;
-    /// Concurrent mode: `path` is written once, under `latch` held
-    /// exclusively; has_path (release-stored after the write) is the
-    /// latch-free existence hint. The flag is monotonic — paths are never
-    /// destroyed while the store lives.
+    /// `path` is written once by CreatePath (under `latch` held exclusively
+    /// in concurrent mode); has_path (release-stored after the write) is the
+    /// latch-free existence test in both modes. The flag is monotonic —
+    /// paths are never destroyed while the store lives.
     std::atomic<bool> has_path{false};
-    /// The per-column reader/writer latch (concurrent mode only).
+    /// The per-column reader/writer latch. Selects take it only in
+    /// concurrent mode; DML and introspection take it in both (a serial
+    /// store's latches are uncontended).
     mutable std::shared_mutex latch;
     PieceId root = kInvalidPieceId;
     /// Lineage leaf nodes keyed by their [begin, end) slot range; they tile
@@ -515,7 +517,7 @@ class AdaptiveStore {
     std::map<std::pair<size_t, size_t>, PieceId> piece_nodes;
   };
 
-  /// Per-table concurrency state (concurrent mode only).
+  /// Per-table latch state.
   struct TableState {
     /// Base-storage latch: row appends and in-place slot overwrites take it
     /// exclusive; anything reading base columns (scans, lazy accelerator
@@ -561,12 +563,6 @@ class AdaptiveStore {
                                                 const std::string& right_table,
                                                 const std::string& right_column,
                                                 IoStats* stats, TxnId txn);
-
-  /// The accelerator slot of (table, column), with the access path built on
-  /// first use (the build itself stays lazy inside the path).
-  Result<ColumnAccel*> Accel(const std::string& table,
-                             const std::string& column,
-                             const std::shared_ptr<Bat>& bat);
 
   /// Folds the path's piece splits since the previous call into the Ξ
   /// lineage: O(new pieces · log pieces), or a re-root from Pieces() when
@@ -653,23 +649,30 @@ class AdaptiveStore {
   /// leg — SetPolicy is a Configure wrapper on top of it.
   Status ApplyPolicy(const CrackPolicyOptions& options);
 
-  // --- concurrent-mode machinery (see AdaptiveStoreOptions::concurrent) ---
+  // --- latch protocol (see AdaptiveStoreOptions::concurrent) ---------------
   // Lock order, outer to inner: global_mu_ -> column latches (ascending
   // key) -> table base latch -> {tombstone_mu | path-internal latches |
-  // registry_mu_ | io_mu_}. The *Locked variants assume global_mu_ is held
-  // (shared) by the caller; public entry points acquire it.
+  // registry_mu_ | io_mu_}. global_mu_ is taken only in concurrent mode;
+  // DML takes the column and base latches in both modes. The *Locked and
+  // *At variants assume global_mu_ is held (shared) by a concurrent
+  // caller; public entry points acquire it.
 
-  /// The accel slot and table state of (table, column), created (empty) on
-  /// demand. Pointers are stable: the maps only grow.
-  void ConcurrentEntries(const std::string& table, const std::string& column,
-                         ColumnAccel** accel, TableState** ts);
+  /// The accel slot of (table, column) and, when `ts` is non-null, the
+  /// table's latch state, created (empty) on demand. Pointers are stable:
+  /// the maps only grow.
+  ColumnAccel* AccelSlot(const std::string& table, const std::string& column,
+                         TableState** ts = nullptr);
   TableState* TableStateFor(const std::string& table) const;
+  /// The slot of (table, column) when its path is built, else nullptr.
+  const ColumnAccel* BuiltAccel(const std::string& table,
+                                const std::string& column) const;
 
-  /// Creates accel->path (caller holds accel->latch exclusive + the base
-  /// latch shared) and replays the table's vacuum-purged rows into it.
-  Status CreatePathLocked(const std::string& table, const std::string& column,
-                          ColumnAccel* accel, const std::shared_ptr<Bat>& bat,
-                          TableState* ts);
+  /// Creates accel->path unless it exists, replays the table's vacuum-purged
+  /// rows into it and publishes has_path. The build itself stays lazy inside
+  /// the path. A concurrent caller holds accel->latch exclusive and the
+  /// base latch shared.
+  Status CreatePath(const std::string& table, const std::string& column,
+                    ColumnAccel* accel, const std::shared_ptr<Bat>& bat);
 
   /// The per-column AccessPathConfig: the store-wide defaults, overlaid
   /// with the column's checkpoint-recovered (policy, progressive budget)
@@ -702,17 +705,15 @@ class AdaptiveStore {
   Result<QueryResult> SelectConjunctionLocked(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery, const Snapshot& snap);
-  Result<QueryResult> InsertConcurrent(const std::string& table,
-                                       std::vector<Value> values,
-                                       const WriteScope& scope);
-  Result<QueryResult> DeleteConcurrent(const std::string& table,
-                                       const std::vector<ColumnRange>& conjuncts,
-                                       const WriteScope& scope);
-  Result<QueryResult> UpdateConcurrent(
-      const std::string& table, const std::vector<Assignment>& sets,
-      const std::vector<ColumnRange>& conjuncts, const WriteScope& scope);
-  Result<std::vector<Oid>> LiveOidsLocked(const std::string& table,
-                                          const Snapshot& snap) const;
+  /// The WHERE read of Delete/Update: the oids matching `conjuncts` (all
+  /// live rows when empty) at the scope's snapshot, ascending; the read's
+  /// cost lands in `io`.
+  Result<std::vector<Oid>> WhereOids(const std::string& table,
+                                     const std::vector<ColumnRange>& conjuncts,
+                                     const WriteScope& scope, IoStats* io);
+  /// The rows of `table` visible at `snap`, ascending (LiveOids' body).
+  Result<std::vector<Oid>> LiveOidsAt(const std::string& table,
+                                      const Snapshot& snap) const;
 
   void AddIo(const IoStats& io);
 
@@ -769,11 +770,12 @@ class AdaptiveStore {
   std::map<std::string, GroupCrackEntry> group_cracks_;
   LineageGraph lineage_;
   IoStats total_io_;
-  /// Concurrent mode only. global_mu_: selections and DML run shared;
+  /// global_mu_ (concurrent mode only): selections and DML run shared;
   /// joins, group-bys, projections and AddTable run exclusive (they touch
   /// base columns and caches without per-column latches). registry_mu_:
-  /// guards the map *structure* of tables_/accels_/table_states_ (leaf).
-  /// io_mu_: guards total_io_ (leaf).
+  /// guards the map *structure* of tables_/accels_/table_states_ (leaf;
+  /// the DML and slot lookups take it in both modes). io_mu_: guards
+  /// total_io_ (leaf, concurrent mode only).
   mutable std::shared_mutex global_mu_;
   mutable std::mutex registry_mu_;
   mutable std::mutex io_mu_;

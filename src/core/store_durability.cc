@@ -333,10 +333,7 @@ Status AdaptiveStore::CheckpointLocked() {
     std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
     if (options_.concurrent) rl.lock();
     for (const auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (!has) continue;
+      if (!accel.has_path.load(std::memory_order_acquire)) continue;
       PathPolicyStatus status = accel.path->PolicyStatus();
       if (!status.crack) continue;
       durability::ColumnPolicyState p;

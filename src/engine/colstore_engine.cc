@@ -3,14 +3,12 @@
 #include "engine/colstore_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <unordered_map>
 
 #include "core/task_pool.h"
 #include "obs/instruments.h"
 #include "obs/trace.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace crackstore {
@@ -42,270 +40,9 @@ Result<ColumnAccessPath*> ColumnEngine::PathFor(
     CRACK_ASSIGN_OR_RETURN(
         std::unique_ptr<ColumnAccessPath> path,
         CreateColumnAccessPath(bat, options_.path_config()));
-    // Replay the table's vacuum-purged rows: the lazy accelerator build
-    // reads the append-only base, which still holds them physically.
-    // (Versioned deletes are filtered by the SnapshotView at read time.)
-    VersionedTable* vt = VersionsIfAny(table);
-    if (vt != nullptr) {
-      for (Oid oid : vt->PurgedOids()) {
-        Status st = path->Delete(oid);
-        CRACK_DCHECK(st.ok() || st.IsNotFound());
-        (void)st;
-      }
-    }
     it = paths_.emplace(key, std::move(path)).first;
   }
   return it->second.get();
-}
-
-VersionedTable* ColumnEngine::VersionsFor(const std::string& table) {
-  auto it = versions_.find(table);
-  if (it == versions_.end()) {
-    Oid base = 0;
-    size_t rows = 0;
-    auto t = tables_.find(table);
-    if (t != tables_.end()) {
-      base = t->second->num_columns() > 0
-                 ? t->second->column(size_t{0})->head_base()
-                 : 0;
-      rows = t->second->num_rows();
-    }
-    it = versions_
-             .emplace(table, std::make_unique<VersionedTable>(base, rows))
-             .first;
-  }
-  return it->second.get();
-}
-
-VersionedTable* ColumnEngine::VersionsIfAny(const std::string& table) const {
-  auto it = versions_.find(table);
-  return it == versions_.end() ? nullptr : it->second.get();
-}
-
-Result<Snapshot> ColumnEngine::ReadSnapshot(TxnId txn) const {
-  if (txn == kNoTxn) return txn_mgr_.LatestSnapshot();
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    return Status::NotFound(
-        StrFormat("no active engine transaction %llu",
-                  static_cast<unsigned long long>(txn)));
-  }
-  return it->second.snap;
-}
-
-Result<Ts> ColumnEngine::WriteStamp(TxnId txn, Snapshot* snap) {
-  if (txn == kNoTxn) {
-    // Auto-commit: the engine is serial, so the single-row statement can
-    // stamp its commit timestamp directly.
-    TxnId t = txn_mgr_.Begin();
-    CRACK_ASSIGN_OR_RETURN(*snap, txn_mgr_.SnapshotOf(t));
-    return txn_mgr_.FinishCommit(t);
-  }
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    return Status::NotFound(
-        StrFormat("no active engine transaction %llu",
-                  static_cast<unsigned long long>(txn)));
-  }
-  if (it->second.abort_only) {
-    return Status::Aborted(
-        "transaction hit a write-write conflict; roll it back");
-  }
-  *snap = it->second.snap;
-  return TxnStamp(txn);
-}
-
-Result<TxnId> ColumnEngine::Begin() {
-  TxnId txn = txn_mgr_.Begin();
-  TxnState state;
-  CRACK_ASSIGN_OR_RETURN(state.snap, txn_mgr_.SnapshotOf(txn));
-  txns_.emplace(txn, std::move(state));
-  return txn;
-}
-
-Status ColumnEngine::Commit(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    return Status::NotFound(
-        StrFormat("no active engine transaction %llu",
-                  static_cast<unsigned long long>(txn)));
-  }
-  if (it->second.abort_only) {
-    CRACK_RETURN_NOT_OK(Rollback(txn));
-    return Status::Aborted(
-        "transaction hit a write-write conflict and was rolled back");
-  }
-  TxnState state = std::move(it->second);
-  txns_.erase(it);
-  for (const auto& [table, oids] : state.touched) {
-    Status st = VersionsFor(table)->ValidateWriteSet(state.snap, txn, oids);
-    if (!st.ok()) {
-      txns_.emplace(txn, std::move(state));
-      CRACK_RETURN_NOT_OK(Rollback(txn));
-      return st;
-    }
-  }
-  CRACK_ASSIGN_OR_RETURN(Ts cts, txn_mgr_.FinishCommit(txn));
-  for (const auto& [table, oids] : state.touched) {
-    VersionsFor(table)->CommitTxn(txn, cts, oids);
-  }
-  return Status::OK();
-}
-
-Status ColumnEngine::Rollback(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    return Status::NotFound(
-        StrFormat("no active engine transaction %llu",
-                  static_cast<unsigned long long>(txn)));
-  }
-  TxnState state = std::move(it->second);
-  txns_.erase(it);
-  Status result = Status::OK();
-  for (auto u = state.undo.rbegin(); u != state.undo.rend(); ++u) {
-    auto rel = this->table(u->table);
-    if (!rel.ok()) {
-      result = rel.status();
-      continue;
-    }
-    auto bat = (*rel)->column(u->column);
-    if (!bat.ok()) {
-      result = bat.status();
-      continue;
-    }
-    Status st = (*bat)->SetValue(
-        static_cast<size_t>(u->oid - (*bat)->head_base()), u->old_value);
-    if (!st.ok()) result = st;
-    auto pit = paths_.find(u->table + "." + u->column);
-    if (pit != paths_.end()) {
-      st = pit->second->Update(u->oid, u->old_value);
-      if (!st.ok() && !st.IsNotFound()) result = st;
-    }
-  }
-  for (const auto& [table, oids] : state.touched) {
-    VersionsFor(table)->RollbackTxn(txn, oids);
-  }
-  Status fin = txn_mgr_.FinishRollback(txn);
-  if (!fin.ok()) result = fin;
-  return result;
-}
-
-Status ColumnEngine::Vacuum() {
-  Ts low_water = txn_mgr_.low_water();
-  for (auto& [name, vt] : versions_) {
-    VersionedTable::VacuumResult res = vt->Vacuum(low_water);
-    if (res.purged.empty()) continue;
-    std::string prefix = name + ".";
-    for (auto it = paths_.lower_bound(prefix);
-         it != paths_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-      for (Oid oid : res.purged) {
-        Status st = it->second->Delete(oid);
-        if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
-      }
-      CRACK_RETURN_NOT_OK(it->second->FlushDeltas());
-    }
-  }
-  return Status::OK();
-}
-
-Status ColumnEngine::Insert(const std::string& table,
-                            std::vector<Value> values, TxnId txn) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-  CRACK_RETURN_NOT_OK(CoerceRow(rel->schema(), &values));
-  Snapshot snap;
-  CRACK_ASSIGN_OR_RETURN(Ts stamp, WriteStamp(txn, &snap));
-  Oid oid = (rel->num_columns() > 0 ? rel->column(size_t{0})->head_base()
-                                    : 0) +
-            rel->num_rows();
-  VersionsFor(table)->NoteInsert(oid, stamp);
-  if (txn != kNoTxn) txns_[txn].touched[table].push_back(oid);
-  CRACK_RETURN_NOT_OK(rel->AppendRow(values));
-  for (size_t c = 0; c < rel->num_columns(); ++c) {
-    auto it = paths_.find(table + "." + rel->schema().column(c).name);
-    if (it == paths_.end()) continue;
-    CRACK_RETURN_NOT_OK(it->second->Insert(values[c], oid));
-  }
-  return Status::OK();
-}
-
-Status ColumnEngine::Delete(const std::string& table, Oid oid, TxnId txn) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-  Oid base = rel->num_columns() > 0 ? rel->column(size_t{0})->head_base() : 0;
-  if (oid < base || oid >= base + rel->num_rows()) {
-    return Status::InvalidArgument(
-        StrFormat("oid %llu outside %s's row range",
-                  static_cast<unsigned long long>(oid), table.c_str()));
-  }
-  Snapshot snap;
-  CRACK_ASSIGN_OR_RETURN(Ts stamp, WriteStamp(txn, &snap));
-  VersionedTable* vt = VersionsFor(table);
-  std::string why;
-  switch (vt->AdmitWrite(oid, snap, txn, &why)) {
-    case VersionedTable::Admission::kSkip:
-      return Status::AlreadyExists(
-          StrFormat("oid %llu already deleted",
-                    static_cast<unsigned long long>(oid)));
-    case VersionedTable::Admission::kConflict:
-      if (txn != kNoTxn) txns_[txn].abort_only = true;
-      return Status::Aborted("DELETE " + why);
-    case VersionedTable::Admission::kOk:
-      break;
-  }
-  if (txn != kNoTxn) txns_[txn].touched[table].push_back(oid);
-  vt->StampDelete(oid, stamp);
-  return Status::OK();
-}
-
-Status ColumnEngine::Update(const std::string& table,
-                            const std::string& column, Oid oid,
-                            const Value& value, TxnId txn) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  auto bat_result = (*rel_result)->column(column);
-  if (!bat_result.ok()) return bat_result.status();
-  std::shared_ptr<Bat> bat = *bat_result;
-  Oid base = bat->head_base();
-  if (oid < base || oid >= base + bat->size()) {
-    return Status::InvalidArgument(
-        StrFormat("oid %llu outside %s's row range",
-                  static_cast<unsigned long long>(oid), table.c_str()));
-  }
-  Snapshot snap;
-  CRACK_ASSIGN_OR_RETURN(Ts stamp, WriteStamp(txn, &snap));
-  VersionedTable* vt = VersionsFor(table);
-  std::string why;
-  switch (vt->AdmitWrite(oid, snap, txn, &why)) {
-    case VersionedTable::Admission::kSkip:
-      return Status::NotFound(
-          StrFormat("oid %llu is deleted",
-                    static_cast<unsigned long long>(oid)));
-    case VersionedTable::Admission::kConflict:
-      if (txn != kNoTxn) txns_[txn].abort_only = true;
-      return Status::Aborted("UPDATE " + why);
-    case VersionedTable::Admission::kOk:
-      break;
-  }
-  size_t row = static_cast<size_t>(oid - base);
-  Value old_value = bat->GetValue(row);
-  vt->StampUpdate(oid, column, old_value, stamp);
-  if (txn != kNoTxn) {
-    TxnState& state = txns_[txn];
-    state.touched[table].push_back(oid);
-    state.undo.push_back(
-        TxnState::Undo{table, column, oid, std::move(old_value)});
-  }
-  CRACK_RETURN_NOT_OK(bat->SetValue(row, value));
-  auto it = paths_.find(table + "." + column);
-  if (it != paths_.end()) {
-    CRACK_RETURN_NOT_OK(it->second->Update(oid, value));
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -365,8 +102,7 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
                                           const std::string& column,
                                           const TypedRange& range,
                                           DeliveryMode mode,
-                                          const std::string& result_name,
-                                          TxnId txn) {
+                                          const std::string& result_name) {
   auto rel_result = this->table(table);
   if (!rel_result.ok()) return rel_result.status();
   std::shared_ptr<Relation> rel = *rel_result;
@@ -378,16 +114,11 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
   WallTimer timer;
   obs::TraceSpan trace_span("engine select", table + "." + column, &run.io);
 
-  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  SnapshotView view;
-  VersionedTable* vt = VersionsIfAny(table);
-  if (vt != nullptr) view = vt->ViewFor(snap, column);
-
   CRACK_ASSIGN_OR_RETURN(ColumnAccessPath * path, PathFor(table, column, bat));
   CRACK_ASSIGN_OR_RETURN(
       AccessSelection sel,
       path->SelectTyped(range, /*want_oids=*/mode != DeliveryMode::kCount,
-                        &run.io, view.active() ? &view : nullptr));
+                        &run.io));
   run.count = sel.count;
 
   switch (mode) {
@@ -430,17 +161,15 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
 Result<std::vector<uint64_t>> ColumnEngine::RunSelectCountBatch(
     const std::vector<SelectSpec>& specs) {
   // Phase 1 (serial): resolve columns and force-create every path, so the
-  // parallel phase never mutates the paths_ map or the tombstone registry.
+  // parallel phase never mutates the paths_ map.
   struct Leg {
     ColumnAccessPath* path = nullptr;
     const SelectSpec* spec = nullptr;
-    SnapshotView view;  ///< latest-committed read filter (built up front)
     Status status;
     uint64_t count = 0;
   };
   std::vector<Leg> legs(specs.size());
   std::unordered_map<std::string, std::vector<size_t>> by_column;
-  Snapshot snap = txn_mgr_.LatestSnapshot();
   for (size_t i = 0; i < specs.size(); ++i) {
     auto rel_result = this->table(specs[i].table);
     if (!rel_result.ok()) return rel_result.status();
@@ -449,8 +178,6 @@ Result<std::vector<uint64_t>> ColumnEngine::RunSelectCountBatch(
     CRACK_ASSIGN_OR_RETURN(legs[i].path,
                            PathFor(specs[i].table, specs[i].column, *bat));
     legs[i].spec = &specs[i];
-    VersionedTable* vt = VersionsIfAny(specs[i].table);
-    if (vt != nullptr) legs[i].view = vt->ViewFor(snap, specs[i].column);
     by_column[specs[i].table + "." + specs[i].column].push_back(i);
   }
 
@@ -465,9 +192,7 @@ Result<std::vector<uint64_t>> ColumnEngine::RunSelectCountBatch(
       for (size_t i : *group) {
         Leg& leg = legs[i];
         auto sel = leg.path->SelectTyped(leg.spec->range,
-                                         /*want_oids=*/false, nullptr,
-                                         leg.view.active() ? &leg.view
-                                                           : nullptr);
+                                         /*want_oids=*/false, nullptr);
         if (!sel.ok()) {
           leg.status = sel.status();
           continue;

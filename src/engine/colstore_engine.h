@@ -7,7 +7,9 @@
 // served by the per-column ColumnAccessPath layer (core/access_path.h): the
 // default configuration scans (the paper's MonetDB baseline), but the same
 // engine runs cracked or sorted access — the cracking module plugs in
-// underneath exactly as the paper's MonetDB module does.
+// underneath exactly as the paper's MonetDB module does. It is a read-only
+// reference engine for Figs. 1 and 9: writes, transactions and snapshots
+// live in AdaptiveStore.
 
 #ifndef CRACKSTORE_ENGINE_COLSTORE_ENGINE_H_
 #define CRACKSTORE_ENGINE_COLSTORE_ENGINE_H_
@@ -19,7 +21,6 @@
 
 #include "core/access_path.h"
 #include "core/range_bounds.h"
-#include "core/txn_manager.h"
 #include "engine/rowstore_engine.h"  // RunResult
 #include "engine/sinks.h"
 #include "storage/relation.h"
@@ -36,11 +37,12 @@ struct ColumnEngineOptions {
   AccessStrategy strategy = AccessStrategy::kScan;
   CrackPolicyOptions policy;
   MergeBudget merge_budget;
-  DeltaMergeOptions delta_merge;
 
-  /// The per-column slice of these options.
+  /// The per-column slice of these options. The engine never writes, so
+  /// the delta-merge knobs keep their defaults.
   AccessPathConfig path_config() const {
-    return AccessPathConfig{strategy, policy, merge_budget, delta_merge};
+    return AccessPathConfig{strategy, policy, merge_budget,
+                            DeltaMergeOptions{}};
   }
 };
 
@@ -55,34 +57,15 @@ class ColumnEngine {
 
   Result<std::shared_ptr<Relation>> table(const std::string& name) const;
 
-  // --- transactions ---------------------------------------------------------
-  // The engine shares the facade's MVCC vocabulary (core/txn_manager.h):
-  // auto-commit DML stamps committed versions immediately, explicit
-  // transactions pin a snapshot, see their own writes, and conflict
-  // first-committer-wins. The engine is a serial component (one statement
-  // at a time); its transactions exist for snapshot reads and rollback,
-  // not thread concurrency.
-
-  /// Opens a transaction pinned at the current committed snapshot.
-  Result<TxnId> Begin();
-  Status Commit(TxnId txn);
-  Status Rollback(TxnId txn);
-
-  /// Folds versions below the low-water snapshot into the access paths
-  /// (physical tombstones + FlushDeltas).
-  Status Vacuum();
-
   /// SELECT ... WHERE column IN range through the column's access path,
   /// delivered per `mode` (Fig. 1's MonetDB line). The predicate is typed
   /// (numeric RangeBounds convert implicitly; string endpoints reach
   /// dictionary-encoded string columns). Materialization gathers
-  /// column-at-a-time. `txn` selects the read snapshot (latest committed
-  /// for kNoTxn).
+  /// column-at-a-time.
   Result<RunResult> RunSelect(const std::string& table,
                               const std::string& column,
                               const TypedRange& range, DeliveryMode mode,
-                              const std::string& result_name = "tmp_result",
-                              TxnId txn = kNoTxn);
+                              const std::string& result_name = "tmp_result");
 
   /// k-way linear chain join (Fig. 9), BAT-at-a-time: per step one hash
   /// build over the next table's `in_col` and one probe of the current
@@ -104,71 +87,23 @@ class ColumnEngine {
   /// leg touches only its own access path); legs sharing a column are
   /// chained into one task, because the engine keeps its paths serial (no
   /// per-column latches — that protocol lives in AdaptiveStore). Paths are
-  /// created (and tombstones replayed) up front on the calling thread.
-  /// Returns per-leg counts in spec order.
+  /// created up front on the calling thread. Returns per-leg counts in spec
+  /// order.
   Result<std::vector<uint64_t>> RunSelectCountBatch(
       const std::vector<SelectSpec>& specs);
-
-  // --- DML ------------------------------------------------------------------
-  // Row-level writes through the same access paths the selections use (the
-  // facade's WHERE-driven DML sits one layer up, in AdaptiveStore).
-
-  /// Appends one row (numeric values coerced to the column types) and
-  /// notifies every materialized access path of the table.
-  Status Insert(const std::string& table, std::vector<Value> values,
-                TxnId txn = kNoTxn);
-
-  /// Stamps a delete version for row `oid`; selections at later snapshots
-  /// exclude it (the row stays physical until Vacuum). AlreadyExists when
-  /// the row is already dead at the snapshot.
-  Status Delete(const std::string& table, Oid oid, TxnId txn = kNoTxn);
-
-  /// Overwrites one column of row `oid` (base write-through plus the
-  /// column's access-path delta), logging the superseded value for older
-  /// snapshots. The value is typed: numerics for numeric columns, strings
-  /// for string columns. NotFound when the row is dead at the snapshot.
-  Status Update(const std::string& table, const std::string& column, Oid oid,
-                const Value& value, TxnId txn = kNoTxn);
 
   /// The materialized result of the last kMaterialize select.
   const std::shared_ptr<Relation>& last_result() const { return last_result_; }
 
  private:
-  /// One in-flight engine transaction.
-  struct TxnState {
-    Snapshot snap;
-    bool abort_only = false;
-    std::map<std::string, std::vector<Oid>> touched;
-    struct Undo {
-      std::string table;
-      std::string column;
-      Oid oid = 0;
-      Value old_value;
-    };
-    std::vector<Undo> undo;
-  };
-
   /// The access path of (table, column), created on first touch.
   Result<ColumnAccessPath*> PathFor(const std::string& table,
                                     const std::string& column,
                                     const std::shared_ptr<Bat>& bat);
 
-  /// The version log of `table`, created on demand.
-  VersionedTable* VersionsFor(const std::string& table);
-  VersionedTable* VersionsIfAny(const std::string& table) const;
-
-  Result<Snapshot> ReadSnapshot(TxnId txn) const;
-
-  /// Resolves the stamp a DML call writes: the transaction's marker, or a
-  /// freshly committed timestamp for auto-commit (sets *snap / *implicit).
-  Result<Ts> WriteStamp(TxnId txn, Snapshot* snap);
-
   ColumnEngineOptions options_;
   std::map<std::string, std::shared_ptr<Relation>> tables_;
   std::map<std::string, std::unique_ptr<ColumnAccessPath>> paths_;
-  std::map<std::string, std::unique_ptr<VersionedTable>> versions_;
-  TxnManager txn_mgr_;
-  std::map<TxnId, TxnState> txns_;
   std::shared_ptr<Relation> last_result_;
 };
 

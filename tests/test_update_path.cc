@@ -384,20 +384,25 @@ struct FacadeRow {
   bool live = true;
 };
 
+// The store has one DML body for both modes (the concurrent one takes its
+// latches uncontended here), so each configuration runs serial and
+// concurrent against the same oracle.
 class UpdateFacadeTest
     : public ::testing::TestWithParam<
-          std::tuple<AccessStrategy, DeltaMergePolicy>> {};
+          std::tuple<AccessStrategy, DeltaMergePolicy, bool>> {};
 
 TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
-  auto [strategy, merge] = GetParam();
+  auto [strategy, merge, concurrent] = GetParam();
   uint64_t seed = TestSeed(407) + static_cast<uint64_t>(strategy) * 13 +
                   static_cast<uint64_t>(merge) * 7;
   SCOPED_TRACE("seed=" + std::to_string(seed) +
+               (concurrent ? " concurrent" : " serial") +
                " (rerun with CRACKSTORE_TEST_SEED)");
   AdaptiveStoreOptions opts;
   opts.strategy = strategy;
   opts.delta_merge.policy = merge;
   opts.delta_merge.threshold_fraction = 0.05;
+  opts.concurrent = concurrent;
   AdaptiveStore store(opts);
 
   const size_t n0 = 800;
@@ -429,6 +434,7 @@ TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
     return RangeBounds::Closed(lo, lo + rng.NextInRange(0, domain / 2));
   };
 
+  uint64_t deleted_since_vacuum = 0;
   for (int op = 0; op < 120; ++op) {
     uint32_t dice = rng.NextBounded(100);
     if (dice < 35) {
@@ -463,7 +469,8 @@ TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
         }
       }
       ASSERT_EQ(qr->count, expected) << "op " << op;
-    } else {
+      deleted_since_vacuum += expected;
+    } else if (dice < 97) {
       // UPDATE c1 of a narrow c0 band.
       int64_t lo = rng.NextInRange(1, domain);
       RangeBounds range = RangeBounds::Closed(lo, lo + 5);
@@ -478,6 +485,26 @@ TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
         }
       }
       ASSERT_EQ(qr->count, expected) << "op " << op;
+    } else {
+      // WHERE-less UPDATE: the victim set is every live row.
+      int64_t set = rng.NextInRange(1, domain);
+      auto qr = store.Update("R", {{"c1", Value(set)}}, {});
+      ASSERT_TRUE(qr.ok());
+      uint64_t expected = 0;
+      for (FacadeRow& row : rows) {
+        if (!row.live) continue;
+        row.c1 = set;
+        ++expected;
+      }
+      ASSERT_EQ(qr->count, expected) << "op " << op;
+    }
+    if (op % 20 == 19) {
+      // No snapshot is open, so vacuum purges every row deleted since the
+      // last pass; later DML must not touch (or resurrect) them.
+      auto vacuumed = store.Vacuum();
+      ASSERT_TRUE(vacuumed.ok()) << "op " << op;
+      ASSERT_EQ(vacuumed->rows_purged, deleted_since_vacuum) << "op " << op;
+      deleted_since_vacuum = 0;
     }
     Status verified = store.Verify();
     ASSERT_TRUE(verified.ok()) << "op " << op << ": " << verified.ToString();
@@ -500,10 +527,12 @@ INSTANTIATE_TEST_SUITE_P(
                           AccessStrategy::kSort),
         ::testing::Values(DeltaMergePolicy::kImmediate,
                           DeltaMergePolicy::kThreshold,
-                          DeltaMergePolicy::kRippleOnSelect)),
+                          DeltaMergePolicy::kRippleOnSelect),
+        ::testing::Bool()),
     [](const auto& info) {
       return std::string(AccessStrategyName(std::get<0>(info.param))) + "_" +
-             DeltaMergePolicyName(std::get<1>(info.param));
+             DeltaMergePolicyName(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_concurrent" : "");
     });
 
 TEST(UpdateFacadeTest, InsertCoercesNumericTypes) {
