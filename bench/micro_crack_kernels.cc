@@ -10,9 +10,11 @@
 // supported kernel tier (scalar / predicated / avx2 / neon) cracks 1M rows
 // per element type and selectivity, and the medians land in PATH as JSON —
 // plus an aggregate-pushdown comparison (SUM over a warmed cracked int32
-// column via span kernels vs materialize-then-loop). CI's bench-smoke lane
-// reads `dispatched_vs_scalar_int32` and
-// `agg_pushdown_vs_materialize_int32` from that file.
+// column via span kernels vs materialize-then-loop) and a candidate-list
+// comparison (a warm two-leg COUNT via the store vs collect-sort-intersect).
+// CI's bench-smoke lane reads `dispatched_vs_scalar_int32`,
+// `agg_pushdown_vs_materialize_int32` and
+// `conjunction_candidates_vs_intersect` from that file.
 
 #include <benchmark/benchmark.h>
 
@@ -316,6 +318,75 @@ AggCompare MeasureAggPushdown(size_t n, int reps) {
   return out;
 }
 
+struct ConjCompare {
+  double candidates_ns = 0.0;  ///< median SelectConjunction(kCount) time
+  double intersect_ns = 0.0;   ///< median collect-sort-intersect time
+  double ratio = 0.0;          ///< intersect / candidates (higher = better)
+};
+
+/// A warm two-leg COUNT at `n` int64 rows — a 1e-3 leg on c0 and a 50% leg
+/// on c1 — through the store's candidate-list conjunction, against the
+/// collect-sort-intersect evaluation it replaced, rebuilt here over the
+/// same store's legs: each leg's oid list (CollectOids copies and
+/// std::sorts it), smallest list first, IntersectSorted. CI's bench-smoke
+/// lane gates `conjunction_candidates_vs_intersect` from this at >= 10x.
+ConjCompare MeasureConjunction(size_t n, int reps) {
+  ConjCompare out;
+  TapestryOptions topts;
+  topts.num_rows = n;
+  topts.seed = 1203;
+  auto rel = BuildTapestry("C", topts);
+  AdaptiveStore store;  // defaults: crack strategy, standard policy
+  if (!rel.ok() || !store.AddTable(*rel).ok()) return out;
+  const int64_t rows = static_cast<int64_t>(n);
+  const std::vector<AdaptiveStore::ColumnRange> legs{
+      {"c0", RangeBounds::Closed(rows / 3, rows / 3 + rows / 1000 - 1)},
+      {"c1", RangeBounds::Closed(rows / 4, rows / 4 + rows / 2 - 1)}};
+
+  std::vector<double> cand_times, inter_times;
+  for (int r = 0; r <= reps; ++r) {  // rep 0 cracks both legs (warm-up)
+    auto t0 = std::chrono::steady_clock::now();
+    auto got = store.SelectConjunction("C", legs, Delivery::kCount);
+    auto t1 = std::chrono::steady_clock::now();
+    if (!got.ok()) return out;
+    std::vector<std::vector<Oid>> lists;
+    for (const AdaptiveStore::ColumnRange& leg : legs) {
+      auto qr = store.SelectRange("C", leg.column, leg.range, Delivery::kView);
+      if (!qr.ok()) return out;
+      lists.push_back(std::move(*qr).CollectOids());
+    }
+    std::sort(lists.begin(), lists.end(),
+              [](const std::vector<Oid>& a, const std::vector<Oid>& b) {
+                return a.size() < b.size();
+              });
+    std::vector<Oid> survivors = std::move(lists.front());
+    for (size_t i = 1; i < lists.size(); ++i) {
+      survivors = IntersectSorted(survivors, lists[i]);
+    }
+    auto t2 = std::chrono::steady_clock::now();
+    if (survivors.size() != got->count) {
+      std::fprintf(stderr, "conjunction mismatch: %zu vs %llu\n",
+                   survivors.size(),
+                   static_cast<unsigned long long>(got->count));
+      return out;
+    }
+    if (r > 0) {
+      cand_times.push_back(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
+      inter_times.push_back(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
+              .count()));
+    }
+  }
+  std::sort(cand_times.begin(), cand_times.end());
+  std::sort(inter_times.begin(), inter_times.end());
+  out.candidates_ns = cand_times[cand_times.size() / 2];
+  out.intersect_ns = inter_times[inter_times.size() / 2];
+  if (out.candidates_ns > 0.0) out.ratio = out.intersect_ns / out.candidates_ns;
+  return out;
+}
+
 int RunTierComparison(const std::string& path) {
   const size_t kRows = 1 << 20;
   const int kReps = 7;
@@ -357,6 +428,7 @@ int RunTierComparison(const std::string& path) {
       pairs > 0 ? std::exp(log_sum / pairs) : 1.0;
 
   const AggCompare agg = MeasureAggPushdown(kRows, kReps);
+  const ConjCompare conj = MeasureConjunction(1000000, kReps);
 
   std::ofstream out(path);
   if (!out) {
@@ -372,6 +444,11 @@ int RunTierComparison(const std::string& path) {
   out << "  \"agg_pushdown_median_ns\": " << agg.pushdown_ns << ",\n";
   out << "  \"agg_materialize_median_ns\": " << agg.materialize_ns << ",\n";
   out << "  \"agg_pushdown_vs_materialize_int32\": " << agg.ratio << ",\n";
+  out << "  \"conjunction_candidates_median_ns\": " << conj.candidates_ns
+      << ",\n";
+  out << "  \"conjunction_intersect_median_ns\": " << conj.intersect_ns
+      << ",\n";
+  out << "  \"conjunction_candidates_vs_intersect\": " << conj.ratio << ",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];
@@ -390,6 +467,9 @@ int RunTierComparison(const std::string& path) {
               dispatched_vs_scalar);
   std::printf("agg pushdown vs materialize (int32 SUM, warmed crack): %.2fx\n",
               agg.ratio);
+  std::printf("conjunction candidates vs intersect (2-leg COUNT, 1M int64): "
+              "%.2fx\n",
+              conj.ratio);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

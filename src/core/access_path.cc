@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -2107,6 +2108,133 @@ Result<std::unique_ptr<ColumnAccessPath>> CreateColumnAccessPath(
           StrFormat("no access path for %s columns",
                     ValueTypeName(column->tail_type())));
   }
+}
+
+namespace {
+
+/// FilterCandidates over a numeric column: gathers one block of candidate
+/// values at a time (snapshot overrides substituted), masks the block with
+/// the vectorized range kernel, and compacts the survivors in place.
+template <typename T>
+void FilterNumericCandidates(
+    const Bat& column, const RangeBounds& range,
+    const std::vector<std::pair<Oid, Value>>& overrides,
+    std::vector<Oid>* candidates) {
+  T lo, hi;
+  bool lo_incl, hi_incl;
+  ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
+  std::unordered_map<Oid, T> overridden;
+  for (const auto& [oid, value] : overrides) {
+    overridden.emplace(oid, CastValue<T>(value));
+  }
+  constexpr size_t kBlock = 1024;
+  T vals[kBlock];
+  uint64_t bm[kBlock / 64];
+  const T* data = column.TailData<T>();
+  const Oid base = column.head_base();
+  Oid* oids = candidates->data();
+  size_t kept = 0;
+  for (size_t b = 0; b < candidates->size(); b += kBlock) {
+    const size_t m = std::min(kBlock, candidates->size() - b);
+    for (size_t i = 0; i < m; ++i) vals[i] = data[oids[b + i] - base];
+    if (!overridden.empty()) {
+      for (size_t i = 0; i < m; ++i) {
+        auto it = overridden.find(oids[b + i]);
+        if (it != overridden.end()) vals[i] = it->second;
+      }
+    }
+    RangeMatchMask<T>(vals, m, /*has_lo=*/true, lo, lo_incl, /*has_hi=*/true,
+                      hi, hi_incl, bm);
+    for (size_t i = 0; i < m; ++i) {
+      oids[kept] = oids[b + i];
+      kept += BitmapTest(bm, i) ? 1 : 0;
+    }
+  }
+  candidates->resize(kept);
+}
+
+}  // namespace
+
+Status FilterCandidates(const Bat& column, const TypedRange& range,
+                        const std::vector<std::pair<Oid, Value>>& overrides,
+                        std::vector<Oid>* candidates, IoStats* stats) {
+  const bool numeric_bound = (!range.lo.is_null() && !range.lo.is_string()) ||
+                             (!range.hi.is_null() && !range.hi.is_string());
+  if (column.tail_type() == ValueType::kString ? numeric_bound
+                                               : range.has_string()) {
+    return Status::TypeMismatch(StrFormat(
+        "%s predicate on %s column %s", numeric_bound ? "numeric" : "string",
+        ValueTypeName(column.tail_type()), column.name().c_str()));
+  }
+  if (stats != nullptr) stats->tuples_read += candidates->size();
+  switch (column.tail_type()) {
+    case ValueType::kInt32:
+      FilterNumericCandidates<int32_t>(column, range.ToNumericBounds(),
+                                       overrides, candidates);
+      return Status::OK();
+    case ValueType::kInt64:
+      FilterNumericCandidates<int64_t>(column, range.ToNumericBounds(),
+                                       overrides, candidates);
+      return Status::OK();
+    case ValueType::kFloat64:
+      FilterNumericCandidates<double>(column, range.ToNumericBounds(),
+                                      overrides, candidates);
+      return Status::OK();
+    case ValueType::kString: {
+      // Bytewise order is the dictionary's order, so this keeps exactly
+      // the rows whose codes the encoded path would answer.
+      std::unordered_map<Oid, std::string_view> overridden;
+      for (const auto& [oid, value] : overrides) {
+        overridden.emplace(oid, value.AsString());
+      }
+      const Oid base = column.head_base();
+      auto kept = std::remove_if(
+          candidates->begin(), candidates->end(), [&](Oid oid) {
+            auto it = overridden.find(oid);
+            return !range.Contains(
+                it != overridden.end()
+                    ? it->second
+                    : column.GetString(static_cast<size_t>(oid - base)));
+          });
+      candidates->erase(kept, candidates->end());
+      return Status::OK();
+    }
+    default:
+      return Status::Unimplemented(
+          StrFormat("no candidate filter for %s columns",
+                    ValueTypeName(column.tail_type())));
+  }
+}
+
+Result<ColumnAggregates> AggregateCandidates(
+    const Bat& column, const std::vector<std::pair<Oid, Value>>& overrides,
+    const std::vector<Oid>& oids) {
+  const bool is32 = column.tail_type() == ValueType::kInt32;
+  if (!is32 && column.tail_type() != ValueType::kInt64) {
+    return Status::Unimplemented("aggregates need integer columns");
+  }
+  std::unordered_map<Oid, int64_t> overridden;
+  for (const auto& [oid, value] : overrides) {
+    overridden.emplace(oid, value.ToInt64());
+  }
+  ColumnAggregates out;
+  const Oid base = column.head_base();
+  for (Oid oid : oids) {
+    const size_t row = static_cast<size_t>(oid - base);
+    int64_t v = is32 ? column.Get<int32_t>(row) : column.Get<int64_t>(row);
+    if (!overridden.empty()) {
+      auto it = overridden.find(oid);
+      if (it != overridden.end()) v = it->second;
+    }
+    out.sum = static_cast<int64_t>(static_cast<uint64_t>(out.sum) +
+                                   static_cast<uint64_t>(v));
+    out.min = out.has_minmax ? std::min(out.min, v) : v;
+    out.max = out.has_minmax ? std::max(out.max, v) : v;
+    out.has_minmax = true;
+  }
+  out.rows = oids.size();
+  out.io.tuples_read = oids.size();
+  return out;
 }
 
 }  // namespace crackstore

@@ -39,6 +39,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/crack_policy.h"
@@ -338,6 +339,26 @@ class ColumnAccessPath {
 /// Accelerator (and dictionary) construction is lazy (first Select pays).
 Result<std::unique_ptr<ColumnAccessPath>> CreateColumnAccessPath(
     std::shared_ptr<Bat> column, const AccessPathConfig& config);
+
+/// Candidate-list filter, the base-column twin of Select: keeps the oids of
+/// `candidates` (any order, order preserved) whose value in `column`
+/// satisfies `range`. A row reads as a snapshot reads it — `overrides` (a
+/// SnapshotView's overrides()) replace the physical slots they name — and
+/// the range lowers exactly as the access paths lower it, so a candidate
+/// survives iff a path over `column` would answer it. Numeric columns mask
+/// gathered blocks with the vectorized range kernel; string columns compare
+/// bytewise, the dictionary's order. Mistyped ranges are TypeMismatch. One
+/// tuple read per candidate. The caller keeps the base column stable.
+Status FilterCandidates(const Bat& column, const TypedRange& range,
+                        const std::vector<std::pair<Oid, Value>>& overrides,
+                        std::vector<Oid>* candidates, IoStats* stats);
+
+/// COUNT/SUM/MIN/MAX of the integer `column` over `oids` (any order), with
+/// `overrides` replacing the physical values they name. Unimplemented for
+/// non-integer columns. The caller keeps the base column stable.
+Result<ColumnAggregates> AggregateCandidates(
+    const Bat& column, const std::vector<std::pair<Oid, Value>>& overrides,
+    const std::vector<Oid>& oids);
 
 }  // namespace crackstore
 

@@ -21,34 +21,36 @@ namespace crackstore {
 
 namespace {
 
-/// Intersects per-conjunct oid lists smallest-first (galloping when the
-/// sizes are skewed), charging the intersection reads to `result->io`.
-/// Shared by the serial and concurrent conjunction paths.
-void IntersectConjunctionLegs(std::vector<std::vector<Oid>> per_column,
-                              Delivery delivery, QueryResult* result) {
-  std::sort(per_column.begin(), per_column.end(),
-            [](const std::vector<Oid>& a, const std::vector<Oid>& b) {
-              return a.size() < b.size();
-            });
-  std::vector<Oid> survivors = std::move(per_column.front());
-  for (size_t c = 1; c < per_column.size() && !survivors.empty(); ++c) {
-    // Galloping kicks in when the survivor set is already much smaller than
-    // the next list (the common shape: one tight predicate prunes the
-    // rest); it touches O(m log(n/m)) tuples instead of the merge's n + m.
-    size_t small = std::min(survivors.size(), per_column[c].size());
-    size_t large = std::max(survivors.size(), per_column[c].size());
-    if (ShouldGallop(small, large)) {
-      uint64_t log_ratio = 1;
-      for (size_t r = large / small; r > 1; r >>= 1) ++log_ratio;
-      result->io.tuples_read += small * log_ratio;
-    } else {
-      result->io.tuples_read += small + large;
-    }
-    survivors = IntersectSorted(survivors, per_column[c]);
+/// Copies a leg answer's oids into `out` in answer order (unsorted): from
+/// its view or span set, or by moving its list. False when a count-only
+/// answer carries none.
+bool TakeLegOids(QueryResult* leg, std::vector<Oid>* out) {
+  if (leg->has_selection) {
+    const Oid* oids = leg->selection.oids.data<Oid>();
+    out->assign(oids, oids + leg->selection.count());
+  } else if (leg->has_span_set) {
+    out->reserve(leg->count);
+    leg->span_set.ForEachOid([out](Oid oid) { out->push_back(oid); });
+  } else if (leg->scan_oids.size() == leg->count) {
+    *out = std::move(leg->scan_oids);  // its producer counted it
+    return true;
+  } else {
+    return false;
   }
-  result->count = survivors.size();
-  if (delivery == Delivery::kView) {
-    result->scan_oids = std::move(survivors);
+  obs::RecordMaterializedOids(out->size());
+  return true;
+}
+
+/// Shapes a conjunction's survivors for `delivery`: kView hands them out
+/// ascending (DML and row fetches rely on oid order), kCount drops them.
+void ShapeConjunctionAnswer(Delivery delivery, QueryResult* result) {
+  if (delivery != Delivery::kView) {
+    result->scan_oids = std::vector<Oid>();
+  } else if (result->has_span_set) {
+    obs::RecordMaterializedOids(result->count);
+    result->scan_oids = result->span_set.ToOids();
+  } else {
+    std::sort(result->scan_oids.begin(), result->scan_oids.end());
   }
 }
 
@@ -712,62 +714,102 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeConcurrent(
   return out;
 }
 
-Result<QueryResult> AdaptiveStore::SelectConjunctionLocked(
+Status AdaptiveStore::ConjunctionCandidates(
     const std::string& table, const std::vector<ColumnRange>& conjuncts,
-    Delivery delivery, const Snapshot& snap) {
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("conjunction needs at least one predicate");
-  }
-  if (delivery == Delivery::kMaterialize) {
-    return Status::Unimplemented(
-        "materialize a conjunction via kView + MaterializeSelection");
-  }
-  if (conjuncts.size() == 1) {
-    return SelectRangeConcurrent(table, conjuncts[0].column,
-                                 conjuncts[0].range, delivery, snap);
-  }
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("conjunction(shared)", table, &result.io);
-
-  // Fan the conjunction legs across the task pool: each leg latches only
-  // its own column, so legs over different columns crack concurrently.
-  struct Leg {
-    Status status;
-    IoStats io;
-    std::vector<Oid> oids;
+    TxnId txn, const Snapshot& snap, QueryResult* result) {
+  // The one mode fork: a serial leg may answer with a zero-copy view or
+  // span set, a concurrent one only with latch-independent counts/lists.
+  auto select_leg = [&](size_t i, Delivery delivery) {
+    const ColumnRange& c = conjuncts[i];
+    return options_.concurrent
+               ? SelectRangeConcurrent(table, c.column, c.range, delivery, snap)
+               : SelectRange(table, c.column, c.range, delivery, txn);
   };
-  std::vector<Leg> legs(conjuncts.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(conjuncts.size());
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    tasks.emplace_back([this, &table, &conjuncts, &legs, &snap, i] {
-      auto qr = SelectRangeConcurrent(table, conjuncts[i].column,
-                                      conjuncts[i].range, Delivery::kView,
-                                      snap);
-      if (!qr.ok()) {
-        legs[i].status = qr.status();
-        return;
-      }
-      legs[i].io = qr->io;
-      legs[i].oids = std::move(*qr).CollectOids();
-    });
-  }
-  TaskPool::Global()->RunBatch(std::move(tasks));
 
-  std::vector<std::vector<Oid>> per_column;
-  per_column.reserve(legs.size());
-  for (Leg& leg : legs) {
-    CRACK_RETURN_NOT_OK(leg.status);
-    result.io += leg.io;
-    per_column.push_back(std::move(leg.oids));
+  // Every leg cracks its own column (each conjunct is advice for its
+  // column's accelerator) and reports its exact count. Concurrent legs
+  // latch only their own column, so they fan out across the task pool.
+  const size_t n = conjuncts.size();
+  std::vector<QueryResult> legs(n);
+  std::vector<Status> statuses(n);
+  auto run_leg = [&](size_t i) {
+    Result<QueryResult> qr = select_leg(i, Delivery::kCount);
+    statuses[i] = qr.status();
+    if (qr.ok()) legs[i] = std::move(*qr);
+  };
+  if (options_.concurrent) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(n);
+    for (size_t i = 0; i < n; ++i) tasks.emplace_back([&run_leg, i] { run_leg(i); });
+    TaskPool::Global()->RunBatch(std::move(tasks));
+  } else {
+    for (size_t i = 0; i < n && statuses[i].ok(); ++i) run_leg(i);
   }
-  IntersectConjunctionLegs(std::move(per_column), delivery, &result);
+  size_t tight = 0;
+  bool all_identity = true;
+  for (size_t i = 0; i < n; ++i) {
+    CRACK_RETURN_NOT_OK(statuses[i]);
+    result->io += legs[i].io;
+    if (legs[i].count < legs[tight].count) tight = i;
+    const OidSpanSet& spans = legs[i].span_set;
+    all_identity &= legs[i].has_span_set && SpanSetIntersectable(spans) &&
+                    spans.exceptions() == 0 && spans.extras() == 0;
+  }
+  if (legs[tight].count == 0) return Status::OK();
 
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
+  if (all_identity) {
+    // Scan legs over clean identity layouts intersect as interval algebra:
+    // only span boundaries are touched and the answer stays a span set.
+    OidSpanSet folded = std::move(legs[0].span_set);
+    result->io.tuples_read += folded.num_spans();
+    for (size_t i = 1; i < n; ++i) {
+      result->io.tuples_read += legs[i].span_set.num_spans();
+      folded = IntersectIdentitySpanSets(folded, legs[i].span_set);
+    }
+    result->count = folded.count();
+    result->has_span_set = true;
+    result->span_set = std::move(folded);
+    obs::RecordSpanAnswer(result->span_set.num_spans(), result->count);
+    return Status::OK();
+  }
+
+  // The tightest leg's oids are the candidates, read in answer order from
+  // the answer in hand — unless a later leg re-cracked the same column
+  // (which may have moved its view) or the answer was count-only; then the
+  // leg is asked again, now that every crack has landed.
+  std::vector<Oid> candidates;
+  bool moved = false;
+  for (size_t i = tight + 1; i < n; ++i) {
+    moved |= conjuncts[i].column == conjuncts[tight].column;
+  }
+  if (moved || !TakeLegOids(&legs[tight], &candidates)) {
+    CRACK_ASSIGN_OR_RETURN(QueryResult again, select_leg(tight, Delivery::kView));
+    result->io += again.io;
+    TakeLegOids(&again, &candidates);
+  }
+
+  // The other legs filter the candidates on base values at the snapshot,
+  // tightest first, under the base latch: an append may reallocate a
+  // column and an in-place update rewrites its slot. The wide legs'
+  // answers are never written down.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&legs](size_t a, size_t b) {
+    return legs[a].count < legs[b].count;
+  });
+  std::shared_lock<std::shared_mutex> base(TableStateFor(table)->base_latch);
+  for (size_t i : order) {
+    if (i == tight || candidates.empty()) continue;
+    CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> bat,
+                           ResolveColumn(table, conjuncts[i].column));
+    SnapshotView view = ViewForColumn(table, conjuncts[i].column, snap);
+    CRACK_RETURN_NOT_OK(FilterCandidates(*bat, conjuncts[i].range,
+                                         view.overrides(), &candidates,
+                                         &result->io));
+  }
+  result->count = candidates.size();
+  result->scan_oids = std::move(candidates);
+  return Status::OK();
 }
 
 void AdaptiveStore::AddIo(const IoStats& io) {
@@ -820,7 +862,7 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
   }
   if (sel.has_span_set) {
     // Zero-materialization shape rides along: consumers that can work on
-    // spans (conjunction intersection, lazy CollectOids) never gather.
+    // spans (conjunction candidate lists, lazy CollectOids) never gather.
     result.has_span_set = true;
     result.span_set = std::move(sel.span_set);
     obs::RecordSpanAnswer(result.span_set.num_spans(), result.span_set.count());
@@ -899,13 +941,15 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
 Result<QueryResult> AdaptiveStore::SelectConjunction(
     const std::string& table, const std::vector<ColumnRange>& conjuncts,
     Delivery delivery, TxnId txn) {
-  if (options_.concurrent) {
-    // Note: the scan-strategy fused pass below reads base columns without
-    // per-column coordination; the concurrent path always goes per-column.
-    CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return SelectConjunctionLocked(table, conjuncts, delivery, snap);
-  }
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  if (options_.concurrent) g.lock();
+  return SelectConjunctionAt(table, conjuncts, delivery, txn, snap);
+}
+
+Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
+    const std::string& table, const std::vector<ColumnRange>& conjuncts,
+    Delivery delivery, TxnId txn, const Snapshot& snap) {
   if (conjuncts.empty()) {
     return Status::InvalidArgument("conjunction needs at least one predicate");
   }
@@ -914,13 +958,17 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
         "materialize a conjunction via kView + MaterializeSelection");
   }
   if (conjuncts.size() == 1) {
-    return SelectRange(table, conjuncts[0].column, conjuncts[0].range,
-                       delivery, txn);
+    const ColumnRange& c = conjuncts[0];
+    return options_.concurrent
+               ? SelectRangeConcurrent(table, c.column, c.range, delivery, snap)
+               : SelectRange(table, c.column, c.range, delivery, txn);
   }
 
   QueryResult result;
   WallTimer timer;
-  obs::TraceSpan trace_span("conjunction", table, &result.io);
+  obs::TraceSpan trace_span(
+      options_.concurrent ? "conjunction(shared)" : "conjunction", table,
+      &result.io);
 
   // The stateless scan strategy has a cheaper shape for all-numeric
   // conjunctions: one fused pass over the referenced columns, no per-column
@@ -933,11 +981,12 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   // The fused pass reads current base values with no visibility filter, so
   // it only runs while the table has no version state at all (no DML yet);
   // any stamp routes the conjunction per-column, where the SnapshotView
-  // applies.
+  // applies. It reads base columns without per-column coordination, so a
+  // concurrent store always goes per-column.
   VersionedTable* fused_vt = VersionsIfAny(table);
   bool version_free = fused_vt == nullptr || fused_vt->empty();
   if (options_.strategy == AccessStrategy::kScan && all_numeric &&
-      version_free) {
+      version_free && !options_.concurrent) {
     auto rel_result = this->table(table);
     if (!rel_result.ok()) return rel_result.status();
     std::shared_ptr<Relation> rel = *rel_result;
@@ -1009,78 +1058,9 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
     }
   }
 
-  // Answer each conjunct through its column's access path, then intersect.
-  // Scan-strategy legs (versioned or string-typed conjunctions land here)
-  // are asked for kCount only: their answers carry identity span sets, so
-  // clean legs intersect as interval algebra — no per-leg oid gather, no
-  // per-leg sort. Stateful legs (crack/sort answer over a permuted layout)
-  // keep the materialized smallest-first intersection.
-  std::vector<std::vector<Oid>> per_column;
-  per_column.reserve(conjuncts.size());
-  bool have_folded = false;
-  OidSpanSet folded;
-  for (const ColumnRange& c : conjuncts) {
-    const Delivery leg_delivery = options_.strategy == AccessStrategy::kScan
-                                      ? Delivery::kCount
-                                      : Delivery::kView;
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectRange(table, c.column, c.range, leg_delivery, txn));
-    result.io += qr.io;
-    if (leg_delivery == Delivery::kCount) {
-      if (qr.has_span_set && SpanSetIntersectable(qr.span_set) &&
-          qr.span_set.exceptions() == 0 && qr.span_set.extras() == 0) {
-        // Interval-algebra leg: only span boundaries are touched.
-        result.io.tuples_read += qr.span_set.num_spans();
-        if (!have_folded) {
-          folded = std::move(qr.span_set);
-          have_folded = true;
-        } else {
-          folded = IntersectIdentitySpanSets(folded, qr.span_set);
-        }
-        continue;
-      }
-      if (qr.has_span_set) {
-        // Overlayed span answer (delta inserts / snapshot extras): this leg
-        // materializes, the others still intersect as intervals.
-        obs::RecordMaterializedOids(qr.count);
-        per_column.push_back(qr.span_set.ToOids());
-        continue;
-      }
-      // No span set came back (scans are stateless, so the re-ask answers
-      // the identical question): fetch the oid list.
-      CRACK_ASSIGN_OR_RETURN(
-          qr, SelectRange(table, c.column, c.range, Delivery::kView, txn));
-      result.io += qr.io;
-    }
-    per_column.push_back(std::move(qr).CollectOids());
-  }
-  if (per_column.empty()) {
-    // Every leg stayed an interval set: the conjunction's answer is itself
-    // a span set. kView enumerates the survivors once — the only oids this
-    // statement ever wrote down.
-    result.count = folded.count();
-    result.has_span_set = true;
-    if (delivery == Delivery::kView && result.count > 0) {
-      obs::RecordMaterializedOids(result.count);
-      result.scan_oids = folded.ToOids();
-    }
-    result.span_set = std::move(folded);
-    obs::RecordSpanAnswer(result.span_set.num_spans(), result.count);
-  } else {
-    if (have_folded) {
-      // Reduce the smallest materialized leg through the folded intervals
-      // before the list×list passes.
-      std::sort(per_column.begin(), per_column.end(),
-                [](const std::vector<Oid>& a, const std::vector<Oid>& b) {
-                  return a.size() < b.size();
-                });
-      result.io.tuples_read += per_column.front().size();
-      per_column.front() = IntersectWithIdentitySpans(per_column.front(), folded);
-    }
-    IntersectConjunctionLegs(std::move(per_column), delivery, &result);
-  }
-
+  CRACK_RETURN_NOT_OK(
+      ConjunctionCandidates(table, conjuncts, txn, snap, &result));
+  ShapeConjunctionAnswer(delivery, &result);
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
   return result;
@@ -1091,14 +1071,10 @@ Result<std::vector<Oid>> AdaptiveStore::WhereOids(
     const WriteScope& scope, IoStats* io) {
   if (conjuncts.empty()) return LiveOidsAt(table, scope.snap);
   // The WHERE is a read like any other: it cracks the referenced columns on
-  // its way to the victim set. Selects keep their serial twin (span sets,
-  // the fused scan, lineage), so this is the one mode fork DML takes; the
-  // concurrent read runs under the global latch the caller already holds.
-  Result<QueryResult> qr =
-      options_.concurrent
-          ? SelectConjunctionLocked(table, conjuncts, Delivery::kView,
-                                    scope.snap)
-          : SelectConjunction(table, conjuncts, Delivery::kView, scope.txn);
+  // its way to the victim set. A concurrent read runs under the global
+  // latch the caller already holds.
+  Result<QueryResult> qr = SelectConjunctionAt(
+      table, conjuncts, Delivery::kView, scope.txn, scope.snap);
   if (!qr.ok()) return qr.status();
   *io += qr->io;
   return std::move(*qr).CollectOids();
@@ -1758,7 +1734,7 @@ Result<std::shared_ptr<Relation>> AdaptiveStore::MaterializeRows(
     }
     Oid base = src->head_base();
     for (Oid oid : oids) {
-      auto ov = overridden.find(oid);
+      auto ov = overridden.empty() ? overridden.end() : overridden.find(oid);
       Status st =
           ov != overridden.end()
               ? dst->AppendValue(*ov->second)
@@ -1779,38 +1755,48 @@ Result<ColumnAggregates> AdaptiveStore::AggregateOids(
     const std::vector<Oid>& oids, TxnId txn) {
   CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
   std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  std::shared_lock<std::shared_mutex> base_lock;
-  if (options_.concurrent) {
-    g.lock();
-    base_lock = std::shared_lock<std::shared_mutex>(
-        TableStateFor(table)->base_latch);
-  }
+  if (options_.concurrent) g.lock();
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> col,
                          ResolveColumn(table, column));
-  const bool is32 = col->tail_type() == ValueType::kInt32;
-  if (!is32 && col->tail_type() != ValueType::kInt64) {
-    return Status::Unimplemented("aggregates need integer columns");
+  std::shared_lock<std::shared_mutex> base(TableStateFor(table)->base_latch);
+  return AggregateCandidates(
+      *col, ViewForColumn(table, column, snap).overrides(), oids);
+}
+
+Result<ColumnAggregates> AdaptiveStore::AggregateWhere(
+    const std::string& table, const std::string& column,
+    const std::vector<ColumnRange>& conjuncts, TxnId txn) {
+  if (conjuncts.empty() ||
+      (conjuncts.size() == 1 && conjuncts[0].column == column)) {
+    Result<ColumnAggregates> pushed = AggregateRange(
+        table, column,
+        conjuncts.empty() ? TypedRange::All() : conjuncts[0].range, txn);
+    if (pushed.ok()) return pushed;
   }
-  SnapshotView view = ViewForColumn(table, column, snap);
-  std::unordered_map<Oid, int64_t> overrides;
-  for (const auto& [oid, value] : view.overrides()) {
-    overrides.emplace(oid, value.ToInt64());
+  // No pushdown: reduce the WHERE's candidate-list survivors, unsorted.
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
+  if (options_.concurrent) g.lock();
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> col,
+                         ResolveColumn(table, column));
+  QueryResult rows;
+  obs::TraceSpan trace_span(
+      options_.concurrent ? "aggregate(shared)" : "aggregate",
+      table + "." + column, &rows.io);
+  if (conjuncts.empty()) {
+    CRACK_ASSIGN_OR_RETURN(rows.scan_oids, LiveOidsAt(table, snap));
+  } else {
+    CRACK_RETURN_NOT_OK(
+        ConjunctionCandidates(table, conjuncts, txn, snap, &rows));
+    if (rows.has_span_set) ShapeConjunctionAnswer(Delivery::kView, &rows);
   }
-  ColumnAggregates out;
-  const Oid base = col->head_base();
-  for (Oid oid : oids) {
-    const size_t row = static_cast<size_t>(oid - base);
-    int64_t v = is32 ? col->Get<int32_t>(row) : col->Get<int64_t>(row);
-    auto ov = overrides.find(oid);
-    if (ov != overrides.end()) v = ov->second;
-    out.sum = static_cast<int64_t>(static_cast<uint64_t>(out.sum) +
-                                   static_cast<uint64_t>(v));
-    out.min = out.has_minmax ? std::min(out.min, v) : v;
-    out.max = out.has_minmax ? std::max(out.max, v) : v;
-    out.has_minmax = true;
-  }
-  out.rows = oids.size();
-  out.io.tuples_read = oids.size();
+  std::shared_lock<std::shared_mutex> base(TableStateFor(table)->base_latch);
+  CRACK_ASSIGN_OR_RETURN(
+      ColumnAggregates out,
+      AggregateCandidates(*col, ViewForColumn(table, column, snap).overrides(),
+                          rows.scan_oids));
+  rows.io += out.io;
+  out.io = rows.io;
   return out;
 }
 

@@ -324,9 +324,10 @@ class AdaptiveStore {
   /// σ over a conjunction of range predicates (WHERE a IN r1 AND b IN r2
   /// ...). Every referenced column is answered by its own access path —
   /// under kCrack "each and every query initiates breaking the database
-  /// further into pieces" (§2.2) — and the per-column oid sets are
-  /// intersected (galloping when the list sizes are skewed). Returns the
-  /// qualifying count and (for kView) the oids.
+  /// further into pieces" (§2.2) — as a count. The tightest leg's oids are
+  /// the candidate list; the other legs filter it on base values at the
+  /// snapshot, so the cost follows the tightest leg, not the widest.
+  /// Returns the qualifying count and (for kView) the oids, ascending.
   Result<QueryResult> SelectConjunction(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery = Delivery::kCount, TxnId txn = kNoTxn);
@@ -449,14 +450,25 @@ class AdaptiveStore {
       const std::vector<std::string>& columns, TxnId txn = kNoTxn,
       IoStats* stats = nullptr);
 
-  /// COUNT/SUM/MIN/MAX of the integer `column` over the rows `oids`, with
-  /// the values `txn`'s snapshot reads (see MaterializeRows; same latching)
-  /// — the aggregate over a WHERE the pushdown cannot answer, such as a
-  /// predicate on another column.
+  /// COUNT/SUM/MIN/MAX of the integer `column` over the rows `oids` (any
+  /// order), with the values `txn`'s snapshot reads (see MaterializeRows),
+  /// under the table's base latch in both modes — the aggregate over an
+  /// oid list the caller already holds; AggregateWhere covers a WHERE.
   Result<ColumnAggregates> AggregateOids(const std::string& table,
                                          const std::string& column,
                                          const std::vector<Oid>& oids,
                                          TxnId txn = kNoTxn);
+
+  /// COUNT/SUM/MIN/MAX of the integer `column` over the rows matching
+  /// `conjuncts` (all live rows when empty), with the values `txn`'s
+  /// snapshot reads — the SQL single-aggregate statement in one call. A
+  /// WHERE-less aggregate, or one whose single conjunct predicates `column`
+  /// itself, pushes down (AggregateRange); anything else, or a path that
+  /// cannot push down, reduces the conjunction's candidate-list survivors
+  /// in place, unsorted.
+  Result<ColumnAggregates> AggregateWhere(
+      const std::string& table, const std::string& column,
+      const std::vector<ColumnRange>& conjuncts, TxnId txn = kNoTxn);
 
   /// The access path currently accelerating (table, column), or NotFound
   /// when the column was never queried. Borrowed pointer, owned by the
@@ -702,9 +714,24 @@ class AdaptiveStore {
                                 const std::string& column,
                                 AccessSelection sel, Delivery delivery,
                                 QueryResult* result);
-  Result<QueryResult> SelectConjunctionLocked(
+  /// SelectConjunction's body at a given snapshot (`txn` is what a serial
+  /// leg reads through; a concurrent caller holds global_mu_ shared).
+  Result<QueryResult> SelectConjunctionAt(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
-      Delivery delivery, const Snapshot& snap);
+      Delivery delivery, TxnId txn, const Snapshot& snap);
+  /// The candidate-list evaluation of a multi-leg conjunction, one body for
+  /// both store modes (only the per-leg select differs): every leg answers
+  /// with a count, an empty leg ends it, the tightest leg's oids become the
+  /// candidates and the other legs filter them on base values at `snap`
+  /// (FilterCandidates). Leaves the count, the cost and the survivors in
+  /// answer order (unsorted) in `result->scan_oids` — or, when every leg
+  /// is a clean identity span set (scan strategy), their interval
+  /// intersection in `result->span_set`. A concurrent caller holds
+  /// global_mu_ shared.
+  Status ConjunctionCandidates(const std::string& table,
+                               const std::vector<ColumnRange>& conjuncts,
+                               TxnId txn, const Snapshot& snap,
+                               QueryResult* result);
   /// The WHERE read of Delete/Update: the oids matching `conjuncts` (all
   /// live rows when empty) at the scope's snapshot, ascending; the read's
   /// cost lands in `io`.

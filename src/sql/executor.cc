@@ -176,52 +176,31 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
       return Status::Unimplemented("aggregates need integer columns");
     }
     plan_span.Close();
-    // Aggregate pushdown: a WHERE-less aggregate, or one whose single
-    // conjunct predicates the aggregated column itself, reduces over the
-    // cracked spans directly — no oid list, no value gather. Paths that
-    // cannot push down (progressive budgets, string predicates) report
-    // Unimplemented and the select-based loop below remains the oracle.
-    const bool pushable =
-        stmt.where.empty() || (stmt.where.size() == 1 &&
-                               stmt.where[0].column == stmt.items[0].column);
-    Result<ColumnAggregates> agg = Status::Unimplemented(
-        "aggregate pushdown: predicate on another column");
-    if (pushable) {
-      TypedRange agg_range =
-          stmt.where.empty() ? TypedRange::All() : stmt.where[0].range;
-      agg = store->AggregateRange(stmt.table, stmt.items[0].column, agg_range,
-                                  txn);
-    }
-    if (!agg.ok()) {
-      std::vector<Oid> oids;
-      if (stmt.where.empty()) {
-        CRACK_ASSIGN_OR_RETURN(oids, store->LiveOids(stmt.table, txn));
-      } else {
-        CRACK_ASSIGN_OR_RETURN(
-            oids, WhereOids(store, stmt.table, stmt.where, txn, &out.io));
-      }
-      // Aggregate the values the snapshot reads, not the physical ones.
-      agg = store->AggregateOids(stmt.table, stmt.items[0].column, oids, txn);
-      if (!agg.ok()) return agg.status();
-    }
+    // One store call: pushdown over the cracked spans when the WHERE names
+    // only the aggregated column, else a reduction over the WHERE's
+    // candidate-list survivors, with the values the snapshot reads.
+    CRACK_ASSIGN_OR_RETURN(
+        ColumnAggregates agg,
+        store->AggregateWhere(stmt.table, stmt.items[0].column,
+                              ToConjuncts(stmt.where), txn));
     int64_t acc = 0;
     switch (stmt.items[0].agg) {
       case AggFunc::kCount:
-        acc = static_cast<int64_t>(agg->rows);
+        acc = static_cast<int64_t>(agg.rows);
         break;
       case AggFunc::kSum:
-        acc = agg->sum;
+        acc = agg.sum;
         break;
       case AggFunc::kMin:
-        acc = agg->has_minmax ? agg->min : 0;
+        acc = agg.has_minmax ? agg.min : 0;
         break;
       case AggFunc::kMax:
-        acc = agg->has_minmax ? agg->max : 0;
+        acc = agg.has_minmax ? agg.max : 0;
         break;
       case AggFunc::kNone:
         break;
     }
-    out.io += agg->io;
+    out.io += agg.io;
     out.kind = OutputKind::kGroups;  // a single (global, value) row
     out.groups.push_back(GroupAggregate{0, acc});
     out.count = 1;

@@ -5,9 +5,28 @@
 #include <algorithm>
 #include <limits>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include "util/string_util.h"
 
 namespace crackstore {
+
+void PrefaultForWrite(void* p, size_t n) {
+#if defined(__linux__) && defined(MADV_POPULATE_WRITE)
+  constexpr uintptr_t kPage = 4096;
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(p);
+  const uintptr_t lo = (begin + kPage - 1) & ~(kPage - 1);
+  const uintptr_t hi = (begin + n) & ~(kPage - 1);
+  if (hi > lo) {
+    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_WRITE);
+  }
+#else
+  (void)p;
+  (void)n;
+#endif
+}
 
 Bat::Bat(ValueType tail_type, std::string name, std::shared_ptr<VarHeap> heap)
     : name_(std::move(name)),

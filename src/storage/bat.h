@@ -35,6 +35,11 @@ struct BatStats {
   int64_t max = 0;   ///< numeric view of the maximum
 };
 
+/// Maps the whole pages inside [p, p + n) for writing in one call
+/// (Linux MADV_POPULATE_WRITE) instead of one page fault per page. A no-op
+/// where the kernel or platform lacks it; the first writes then fault.
+void PrefaultForWrite(void* p, size_t n);
+
 /// A binary table [void head | typed tail]. See file comment.
 class Bat {
  public:
@@ -49,12 +54,14 @@ class Bat {
   static std::shared_ptr<Bat> FromVector(const std::vector<T>& values,
                                          std::string name = "") {
     auto bat = Create(TypeTraits<T>::kType, std::move(name));
-    bat->Reserve(values.size());
+    // A bulk load's cost is the first touch of fresh pages: map them in one
+    // call, then copy once (no zero-fill pass).
+    const size_t n = values.size() * sizeof(T);
+    bat->data_.reserve(n);
+    PrefaultForWrite(bat->data_.data(), n);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+    bat->data_.assign(bytes, bytes + n);
     bat->count_ = values.size();
-    if (!values.empty()) {
-      std::memcpy(bat->data_.data(), values.data(),
-                  values.size() * sizeof(T));
-    }
     return bat;
   }
 
